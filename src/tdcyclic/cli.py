@@ -40,6 +40,11 @@ class Problem:
     options: dict
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON true is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -54,7 +59,7 @@ def _parse_array(field: Field, s: int, ell: int, arr, label: str):
         if not isinstance(row, list) or len(row) != ell:
             raise ProblemFormatError(f"{label}[{i}]: expected {ell} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < field.q:
+            if not _is_int(v) or not 0 <= v < field.q:
                 raise ProblemFormatError(
                     f"{label}[{i}][{j}]: {v!r} is not an element encoding in [0, {field.q})")
     return arr
@@ -73,6 +78,12 @@ def load_problem(text: str) -> Problem:
     fd = doc["field"]
     if not isinstance(fd, dict) or "p" not in fd:
         raise ProblemFormatError("field: expected an object with at least 'p'")
+    for key in ("p", "m"):
+        if key in fd and not _is_int(fd[key]):
+            raise ProblemFormatError(f"field.{key}: {fd[key]!r} is not an integer")
+    modulus = fd.get("modulus")
+    if modulus is not None and not (isinstance(modulus, list) and all(map(_is_int, modulus))):
+        raise ProblemFormatError(f"field.modulus: {modulus!r} is not a list of integers")
     try:
         field = field_from_descriptor(fd)
     except BoundsError:
@@ -80,7 +91,7 @@ def load_problem(text: str) -> Problem:
     except (ValueError, TypeError) as e:
         raise ProblemFormatError(f"field: {e}")
     s, ell = doc["s"], doc["ell"]
-    if not isinstance(s, int) or not isinstance(ell, int):
+    if not _is_int(s) or not _is_int(ell):
         raise ProblemFormatError("s and ell must be integers")
     try:
         shape = RingShape(field, s, ell)
@@ -111,10 +122,21 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_OPTION_TYPES = {"cap": int, "count": int, "seed": int, "with_distance": bool, "trace": bool}
+
+
 def _opt(args_value, options: dict, key: str, fallback):
+    """The command-line value if given, else the problem file's option,
+    else the fallback; a file option of the wrong JSON type is an error."""
     if args_value is not None:
         return args_value
-    return options.get(key, fallback)
+    value = options.get(key, fallback)
+    kind = _OPTION_TYPES.get(key)
+    if kind is int and not _is_int(value):
+        raise ProblemFormatError(f"options.{key}: {value!r} is not an integer")
+    if kind is bool and not isinstance(value, bool):
+        raise ProblemFormatError(f"options.{key}: {value!r} is not true or false")
+    return value
 
 
 def cmd_construct(args) -> int:
@@ -142,9 +164,9 @@ def cmd_matrix(args) -> int:
 
 def cmd_params(args) -> int:
     prob = load_problem(_read_text(args.input))
-    gs = ideal.extract_generators(prob.shape, prob.generators)
     cap = _opt(args.cap, prob.options, "cap", codegen.DEFAULT_CAP)
-    with_d = args.with_distance or prob.options.get("with_distance", False)
+    with_d = _opt(args.with_distance, prob.options, "with_distance", False)
+    gs = ideal.extract_generators(prob.shape, prob.generators)
     params = codegen.code_params(gs, with_distance=with_d, cap=cap)
     _emit(_json_text(params.to_json_dict()), args.output)
     return 0
@@ -163,8 +185,8 @@ def cmd_member(args) -> int:
         raise ProblemFormatError(f"element: invalid JSON at line {e.lineno}: {e.msg}")
     elem = BiPoly(prob.shape, _parse_array(
         prob.shape.field, prob.shape.s, prob.shape.ell, arr, "element"))
+    want_trace = _opt(args.trace, prob.options, "trace", False)
     gs = ideal.extract_generators(prob.shape, prob.generators)
-    want_trace = args.trace or prob.options.get("trace", False)
     try:
         dec = ideal.decompose(elem, gs, want_trace=want_trace)
     except NotMember as e:
@@ -280,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="code parameters (n, k, optionally d)")
     common(p)
-    p.add_argument("--with-distance", action="store_true")
+    p.add_argument("--with-distance", action="store_true", default=None)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_params)
 
@@ -288,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--element", required=True,
                    help="s x ell JSON array (inline) or a path to one")
-    p.add_argument("--trace", action="store_true", help="include intermediate remainders")
+    p.add_argument("--trace", action="store_true", default=None,
+                   help="include intermediate remainders")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("verify", help="brute-force verification report")

@@ -3,8 +3,16 @@
 The rows of the generator matrix are the codeword flattenings of
 x^a * gens[j] for every nonzero layer j and 0 <= a < s - deg(layer j),
 in (layer, shift) order; they form an F-basis of the code, so the
-dimension is the sum of s - deg over the layers.  Minimum distance is
-exhaustive message enumeration under a hard cap, desk scale only.
+dimension is the sum of s - deg over the layers.
+
+Minimum distance is exhaustive enumeration of the q^k codewords under a
+hard cap, desk scale only.  The first rows of the matrix are expanded
+once into a span table of all their combinations, as many rows as keep
+the table within ``_TABLE_ELEMS`` entries; every combination of the
+remaining rows is then added to the whole table at once.  Each codeword
+costs one field addition per coordinate, and the working set is a few
+table-sized arrays however long the code is (about 2m times that over the
+fields with q > 256, whose additions go through base-p digit arrays).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .ideal import GeneratorSet
 from .ring2d import CODEWORD, RingShape
 
 DEFAULT_CAP = 1 << 20
-_CHUNK_ROWS = 1 << 14
+_TABLE_ELEMS = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,33 +97,53 @@ def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
     return out
 
 
+def _span_table(fld, rows: np.ndarray) -> np.ndarray:
+    """All q^len(rows) F-combinations of rows, one per table row; row 0 is
+    the zero word.  Built by doubling: table = [table; table + c*row ...]."""
+    table = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    for row in rows:
+        multiples = fld.mul_arrays(np.arange(1, fld.q, dtype=np.int64)[:, None, None], row)
+        table = np.concatenate([table, fld.add_arrays(multiples, table).reshape(-1, row.size)])
+    return table
+
+
+def _offsets(fld, rows: np.ndarray, base: np.ndarray):
+    """Yield base + every F-combination of rows, base itself first; each is
+    one scaled-row add from its parent."""
+    if len(rows) == 0:
+        yield base
+        return
+    yield from _offsets(fld, rows[1:], base)
+    for c in range(1, fld.q):
+        yield from _offsets(fld, rows[1:], fld.add_arrays(base, fld.scale_array(c, rows[0])))
+
+
 def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
-    """Minimum Hamming weight over all q^k - 1 nonzero codewords, by
-    exhaustive message enumeration in canonical element order."""
+    """Minimum Hamming weight over the codewords of all q^k - 1 nonzero
+    messages, by exhaustive enumeration; returns early at weight 1.
+
+    The first t rows go into a span table of q^t codewords, t as large as
+    keeps q^t * n within _TABLE_ELEMS.  Each combination of the other k - t
+    rows is added to the whole table in one field addition, so memory stays
+    at a few table-sized arrays whatever n is."""
     fld = gm.shape.field
-    k = gm.k
+    k, n = gm.k, gm.n
     if k == 0:
         raise ValueError("minimum distance is undefined for a dimension-0 code")
     total = fld.q**k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    best = gm.n + 1
-    chunk = max(1, _CHUNK_ROWS)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        if start == 0:
-            idx = idx[1:]  # skip the zero message
-            if idx.size == 0:
-                continue
-        words = np.zeros((idx.size, gm.n), dtype=np.int64)
-        rest = idx
-        for t in range(k):
-            digit = rest % fld.q
-            rest = rest // fld.q
-            words = fld.add_arrays(words, fld.mul_arrays(digit[:, None], gm.rows[t][None, :]))
-        w = int(np.count_nonzero(words, axis=1).min())
-        if w < best:
-            best = w
+    t = k
+    while t > 0 and fld.q**t * n > _TABLE_ELEMS:
+        t -= 1
+    table = _span_table(fld, gm.rows[:t])
+    best = int(np.count_nonzero(table[1:], axis=1).min()) if t else n + 1
+    offsets = _offsets(fld, gm.rows[t:], np.zeros(n, dtype=np.int64))
+    next(offsets)  # the zero offset: the table itself, done above
+    for offset in offsets:
+        if best == 1:
+            break
+        best = min(best, int(np.count_nonzero(fld.add_arrays(table, offset), axis=1).min()))
     return best
 
 

@@ -148,6 +148,29 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert code == 2, doc
         assert err.startswith("error:")
     assert run(capsys, ["construct", "--input", str(tmp_path / "missing.json")])[0] == 2
+    # wrong JSON types: options by key, and bools where integers are expected
+    small = {"field": {"p": 2}, "s": 1, "ell": 2}
+    typed = [
+        (["params", "--with-distance"], dict(FIXTURE, options={"cap": "x"}), "options.cap"),
+        (["params", "--with-distance"], dict(FIXTURE, options={"cap": True}), "options.cap"),
+        (["params"], dict(FIXTURE, options={"with_distance": "no"}), "options.with_distance"),
+        (["enumerate"], dict(small, options={"cap": "x"}), "options.cap"),
+        (["enumerate"], dict(small, options={"mode": "random", "count": "3"}), "options.count"),
+        (["enumerate"], dict(small, options={"mode": "random", "seed": 1.5}), "options.seed"),
+        (["member", "--element", "[[0, 0], [0, 0]]"], dict(FIXTURE, options={"trace": 1}),
+         "options.trace"),
+        (["member", "--element", "[[true, 0], [0, 0]]"], FIXTURE, "element[0][0]"),
+        (["construct"], {"field": {"p": 2}, "s": True, "ell": 2}, "s and ell"),
+        (["construct"], dict(FIXTURE, generators=[[[True, 0], [1, 0]]]), "generators[0][0][0]"),
+        (["construct"], {"field": {"p": 2, "m": True}, "s": 2, "ell": 2}, "field.m"),
+        (["construct"], {"field": {"p": 2, "m": 2, "modulus": [1, True, 1]}, "s": 2, "ell": 2},
+         "field.modulus"),
+    ]
+    for i, (argv, doc, where) in enumerate(typed):
+        path = write_problem(tmp_path, doc, f"typed{i}.json")
+        code, out, err = run(capsys, argv + ["--input", path])
+        assert code == 2 and out == "", (argv, doc)
+        assert err.startswith("error:") and where in err, err
 
 
 def test_bounds_exit_3(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tdcyclic import (CODEWORD, GF, BiPoly, Poly, RingShape, TooLargeError,
-                      check_shift_closure, code_params, decompose, dimension,
-                      encode, extract_generators, gcd, generator_matrix,
-                      min_distance, reduced_span, xs_minus_one)
-from tdcyclic.codegen import matrix_csv, matrix_json_dict, matrix_text
+from tdcyclic import (CODEWORD, GF, BiPoly, GeneratorMatrix, Poly, RingShape,
+                      TooLargeError, bruteforce_ideal, check_shift_closure,
+                      code_params, decompose, dimension, encode, enumerate_span,
+                      extract_generators, gcd, generator_matrix, min_distance,
+                      reduced_span, xs_minus_one)
+from tdcyclic.codegen import _TABLE_ELEMS, matrix_csv, matrix_json_dict, matrix_text
 from conftest import random_generators
 
 F2 = GF(2)
@@ -138,6 +140,66 @@ def test_min_distance_matches_exhaustive_codeword_scan():
             w = int(np.count_nonzero(encode(gm, msg)))
             best = min(best, w)
         assert min_distance(gm) == best
+
+
+def _product_code(F, s, ell, a, b):
+    """<a(x) b(y)> from ascending coefficient lists a and b."""
+    sh = RingShape(F, s, ell)
+    arr = [[F.mul(a[i], b[j]) if i < len(a) and j < len(b) else 0
+            for j in range(ell)] for i in range(s)]
+    return sh, [BiPoly(sh, arr)]
+
+
+def test_min_distance_matches_oracle_span():
+    """d against the least nonzero weight of the oracle's own enumeration
+    of the ideal, which shares no code with min_distance."""
+    F3, F4 = GF(3), GF(2, 2)
+    cases = [
+        _product_code(F2, 5, 5, [1, 1], [1, 1]),  # k=16, d=4
+        _product_code(F2, 4, 4, [1], [1]),        # the whole ring: k=16, d=1
+        _product_code(F3, 3, 4, [1, 1], [1, 0, 1]),
+        _product_code(F4, 3, 3, [1, 1], [1]),
+    ]
+    folded = 0
+    rng = random.Random(109)
+    while len(cases) < 34:
+        F = rng.choice([F2, F3, F4])
+        sh = RingShape(F, rng.randint(1, 4), rng.randint(1, 4))
+        cases.append((sh, random_generators(rng, sh)))
+    for sh, gens in cases:
+        gm = generator_matrix(extract_generators(sh, gens))
+        if gm.k == 0 or sh.field.q**gm.k > 1 << 16:
+            continue
+        span = enumerate_span(bruteforce_ideal(sh, gens))
+        weights = np.count_nonzero(span, axis=1)
+        d = int(weights[weights > 0].min())
+        assert min_distance(gm) == d, (sh, gm.rows)
+        if sh.field.q**gm.k * gm.n > _TABLE_ELEMS:
+            # the same code on the basis r_i + r_k (i < k), r_k: on the whole
+            # ring only the walk over the rows outside the table reaches d=1
+            rows = gm.rows.copy()
+            rows[:-1] = sh.field.add_arrays(rows[:-1], rows[-1])
+            assert min_distance(GeneratorMatrix(sh, rows, gm.labels)) == d
+            folded += 1
+    assert folded == 2  # the two GF(2) k=16 codes overflow the span table
+
+
+def test_min_distance_memory_bounded():
+    """GF(2) 16x16 <(x+1)^15 (y+1)^2>: k=14, n=256.  The peak is the span
+    table plus the two temporaries of one field addition over it, 12 MB
+    at the 2^19-element budget; plus 1 MB for everything else."""
+    sh = RingShape(F2, 16, 16)
+    arr = [[1 if j in (0, 2) else 0 for j in range(16)] for _ in range(16)]
+    gm = generator_matrix(extract_generators(sh, [BiPoly(sh, arr)]))
+    assert (gm.k, gm.n) == (14, 256)
+    tracemalloc.start()
+    try:
+        d = min_distance(gm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 32  # 16 * 2, a product of [16, 1, 16] and [16, 14, 2]
+    assert peak < 3 * _TABLE_ELEMS * 8 + (1 << 20), peak
 
 
 def test_code_params():
