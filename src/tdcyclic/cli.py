@@ -123,19 +123,25 @@ def _json_text(doc: dict) -> str:
 
 
 _OPTION_TYPES = {"cap": int, "count": int, "seed": int, "with_distance": bool, "trace": bool}
+_OPTION_MIN = {"cap": 1, "count": 0}
 
 
 def _opt(args_value, options: dict, key: str, fallback):
     """The command-line value if given, else the problem file's option,
-    else the fallback; a file option of the wrong JSON type is an error."""
+    else the fallback; a file option of the wrong JSON type, or a value
+    below the option's minimum, is an error naming the flag or the key."""
     if args_value is not None:
-        return args_value
-    value = options.get(key, fallback)
-    kind = _OPTION_TYPES.get(key)
-    if kind is int and not _is_int(value):
-        raise ProblemFormatError(f"options.{key}: {value!r} is not an integer")
-    if kind is bool and not isinstance(value, bool):
-        raise ProblemFormatError(f"options.{key}: {value!r} is not true or false")
+        value, where = args_value, f"--{key}"
+    else:
+        value, where = options.get(key, fallback), f"options.{key}"
+        kind = _OPTION_TYPES.get(key)
+        if kind is int and not _is_int(value):
+            raise ProblemFormatError(f"{where}: {value!r} is not an integer")
+        if kind is bool and not isinstance(value, bool):
+            raise ProblemFormatError(f"{where}: {value!r} is not true or false")
+    low = _OPTION_MIN.get(key)
+    if low is not None and value < low:
+        raise ProblemFormatError(f"{where}: {value} is less than {low}")
     return value
 
 

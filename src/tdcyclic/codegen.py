@@ -11,8 +11,7 @@ once into a span table of all their combinations, as many rows as keep
 the table within ``_TABLE_ELEMS`` entries; every combination of the
 remaining rows is then added to the whole table at once.  Each codeword
 costs one field addition per coordinate, and the working set is a few
-table-sized arrays however long the code is (about 2m times that over the
-fields with q > 256, whose additions go through base-p digit arrays).
+table-sized arrays over every field, however long the code is.
 """
 
 from __future__ import annotations

@@ -7,6 +7,17 @@ usual integer-mod-p representation.  A ``Field`` instance owns the
 modulus polynomial and provides every operation, both on scalar
 encodings and on numpy arrays of encodings.
 
+Prime fields (m = 1) compute directly mod p: one machine operation per
+element, with no table to build or look up.  Every extension field
+(m > 1) uses one path whatever its size.  Construction finds a primitive
+element g and tabulates exp[i] = g^i and its inverse log, so products,
+scalings, inverses and negation (-1 = g^((q-1)/2)) are gathers such as
+exp[log a + log b], for scalars and arrays alike.  log[0] points into a
+zero-filled tail of exp, so a zero factor needs no branch.  Addition is
+XOR for p = 2 and otherwise one pass over the base-p digits, one digit
+at a time.  The tables hold about 5q entries, against q^2 for full
+addition and multiplication tables.
+
 Fields are desk scale (p^m <= 2**16).  Construction checks that p is
 prime and, for extensions, that the modulus is monic of degree m and
 irreducible by exhaustive trial division, so a successfully constructed
@@ -23,10 +34,6 @@ from .errors import BoundsError
 
 MAX_FIELD_SIZE = 1 << 16
 
-# Full q x q add/mul lookup tables are built for extension fields up to
-# this many elements; beyond it scalar ops fall back to digit arithmetic.
-_TABLE_LIMIT = 256
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -41,6 +48,30 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _power(mul, a, e: int):
+    """a^e for e >= 0 by square-and-multiply under the product mul."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
+    return out
 
 
 # -- raw polynomial helpers over GF(p), little-endian int lists ------------
@@ -114,8 +145,7 @@ class Field:
         to ``default_modulus(p, m)`` for extensions.
     """
 
-    __slots__ = ("p", "m", "q", "modulus",
-                 "_add_t", "_mul_t", "_inv_t", "_neg_t", "_add_np", "_mul_np")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_exp_np", "_log_np")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not _is_prime(p):
@@ -126,6 +156,7 @@ class Field:
         if q > MAX_FIELD_SIZE:
             raise BoundsError(f"field size {q} exceeds desk-scale limit {MAX_FIELD_SIZE}")
         self.p, self.m, self.q = p, m, q
+        self._exp = self._log = self._exp_np = self._log_np = None
 
         if m == 1:
             if modulus is not None:
@@ -140,22 +171,9 @@ class Field:
             if not _is_irreducible(mod, p):
                 raise ValueError(f"modulus {mod} is reducible over GF({p})")
             self.modulus = mod
-
-        self._add_t = self._mul_t = self._inv_t = self._add_np = self._mul_np = None
-        self._neg_t = [(-a) % p if m == 1 else self._digit_neg(a) for a in range(q)]
-        if m > 1 and q <= _TABLE_LIMIT:
-            self._build_tables()
+            self._build_exp_log()
 
     # -- construction helpers ---------------------------------------------
-
-    def _digit_neg(self, a: int) -> int:
-        p = self.p
-        out, w = 0, 1
-        for _ in range(self.m):
-            out += ((-(a % p)) % p) * w
-            a //= p
-            w *= p
-        return out
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Digit-vector convolution reduced by the modulus polynomial."""
@@ -175,31 +193,43 @@ class Field:
                     prod[i - m + k] = (prod[i - m + k] - c * mod[k]) % p
         return self.from_coords(prod[:m])
 
-    def _build_tables(self):
-        q = self.q
-        self._add_t = [[self._generic_add(a, b) for b in range(q)] for a in range(q)]
-        self._mul_t = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_t[a][b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise ValueError(f"element {a} has no inverse; modulus is not irreducible")
-        self._inv_t = inv
-        self._add_np = np.array(self._add_t, dtype=np.int64)
-        self._mul_np = np.array(self._mul_t, dtype=np.int64)
-
-    def _generic_add(self, a: int, b: int) -> int:
+    def _times(self, c: int) -> np.ndarray:
+        """c * a for every encoding a.  Multiplication by c is GF(p)-linear,
+        so digit j of a contributes that digit times c * x^j."""
         p = self.p
-        out, w = 0, 1
-        for _ in range(self.m):
-            out += ((a % p) + (b % p)) % p * w
-            a //= p
-            b //= p
-            w *= p
+        idx = np.arange(self.q, dtype=np.int64)
+        out = np.zeros(self.q, dtype=np.int64)
+        for j in range(self.m):
+            cx = self._raw_mul(c, p**j)
+            multiples = np.array([self._raw_mul(t, cx) for t in range(p)], dtype=np.int64)
+            out = self.add_arrays(out, multiples[idx // p**j % p])
         return out
+
+    def _build_exp_log(self):
+        """exp/log tables of a primitive element g.
+
+        g is the first encoding with g^(n/r) != 1 for every prime r | n,
+        n = q - 1.  exp holds two periods g^0 .. g^(2n-1) and then 2n+1
+        zeros; log[0] = 2n, so a sum of two logs with a zero term lands in
+        the zeros and products need no branch on zero."""
+        n = self.q - 1
+        primes = _prime_factors(n)
+        g = next(g for g in range(2, self.q)
+                 if all(_power(self._raw_mul, g, n // r) != 1 for r in primes))
+        # powers = g^0 .. g^(k-1) and step = the map a -> g^k a; each pass doubles k
+        powers, step = np.ones(1, dtype=np.int64), self._times(g)
+        while powers.size < n:
+            powers = np.concatenate([powers, step[powers]])
+            step = step[step]
+        powers = powers[:n]
+        self._exp_np = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=np.int64)])
+        # int32 logs (< 2^31 for q <= 2^16) halve the index temporaries of a gather
+        self._log_np = np.empty(self.q, dtype=np.int32)
+        self._log_np[powers] = np.arange(n)
+        self._log_np[0] = 2 * n
+        # Python lists for scalar ops: faster lookups, and plain ints out
+        self._exp = self._exp_np.tolist()
+        self._log = self._log_np.tolist()
 
     # -- scalar operations --------------------------------------------------
 
@@ -208,26 +238,34 @@ class Field:
         return int(n) % self.q
 
     def add(self, a: int, b: int) -> int:
+        p = self.p
         if self.m == 1:
-            return (a + b) % self.p
-        t = self._add_t
-        if t is not None:
-            return t[a][b]
-        return self._generic_add(a, b)
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
+        out, w = 0, 1
+        for _ in range(self.m):
+            out += (a // w + b // w) % p * w
+            w *= p
+        return out
 
     def neg(self, a: int) -> int:
-        return self._neg_t[a]
+        if self.m == 1:
+            return (-a) % self.p
+        if self.p == 2:
+            return a
+        # -1 = g^((q-1)/2): negation shifts the log by half a period
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg_t[b])
+        if self.m == 1:
+            return (a - b) % self.p
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        t = self._mul_t
-        if t is not None:
-            return t[a][b]
-        return self._raw_mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
@@ -235,9 +273,7 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.m == 1:
             return pow(a, -1, self.p)
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -245,13 +281,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(self.mul, a, e)
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coordinate vector (ascending degree, length m)."""
@@ -275,32 +305,40 @@ class Field:
 
     # -- vectorized operations on numpy arrays of encodings -----------------
 
-    def _digits_array(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape + (self.m,), dtype=np.int64)
-        t = a
-        for i in range(self.m):
-            out[..., i] = t % self.p
-            t = t // self.p
+    def add_arrays(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        p = self.p
+        if self.m == 1:
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
+        # one base-p digit at a time; the larger operand is divided straight
+        # into the digit buffer, so the working set is two result-sized arrays
+        if a.size < b.size:
+            a, b = b, a
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        digit = np.empty_like(out)
+        w = 1
+        for _ in range(self.m):
+            np.floor_divide(a, w, out=digit)
+            digit += b // w
+            digit %= p
+            digit *= w
+            out += digit
+            w *= p
         return out
 
-    def _undigits_array(self, d: np.ndarray) -> np.ndarray:
-        w = self.p ** np.arange(self.m, dtype=np.int64)
-        return (d * w).sum(axis=-1)
-
-    def add_arrays(self, a, b) -> np.ndarray:
-        if self.m == 1:
-            return (np.asarray(a) + np.asarray(b)) % self.p
-        if self._add_np is not None:
-            return self._add_np[np.asarray(a), np.asarray(b)]
-        return self._undigits_array((self._digits_array(a) + self._digits_array(b)) % self.p)
-
     def neg_array(self, a) -> np.ndarray:
+        a = np.asarray(a)
         if self.m == 1:
-            return (-np.asarray(a)) % self.p
-        return self._undigits_array((-self._digits_array(a)) % self.p)
+            return (-a) % self.p
+        if self.p == 2:
+            return a.copy()
+        return self._exp_np[self._log_np[a] + (self.q - 1) // 2]
 
     def sub_arrays(self, a, b) -> np.ndarray:
+        if self.m == 1:
+            return (np.asarray(a) - np.asarray(b)) % self.p
         return self.add_arrays(a, self.neg_array(b))
 
     def scale_array(self, c: int, a) -> np.ndarray:
@@ -308,21 +346,14 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         if self.m == 1:
             return (c * a) % self.p
-        if self._mul_np is not None:
-            return self._mul_np[c][a]
-        # multiplication by c is GF(p)-linear on the digit vectors
-        cmat = np.array([self.coords(self._raw_mul(c, self.p**j)) for j in range(self.m)],
-                        dtype=np.int64)
-        return self._undigits_array(self._digits_array(a) @ cmat % self.p)
+        return self._exp_np[self._log[c] + self._log_np[a]]
 
     def mul_arrays(self, a, b) -> np.ndarray:
         """Elementwise (broadcasting) product of two encoding arrays."""
+        a, b = np.asarray(a), np.asarray(b)
         if self.m == 1:
-            return (np.asarray(a) * np.asarray(b)) % self.p
-        if self._mul_np is not None:
-            return self._mul_np[np.asarray(a), np.asarray(b)]
-        ufunc = np.frompyfunc(self._raw_mul, 2, 1)
-        return ufunc(np.asarray(a), np.asarray(b)).astype(np.int64)
+            return (a * b) % self.p
+        return self._exp_np[self._log_np[a] + self._log_np[b]]
 
     # -- misc ---------------------------------------------------------------
 

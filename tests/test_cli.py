@@ -165,6 +165,14 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         (["construct"], {"field": {"p": 2, "m": True}, "s": 2, "ell": 2}, "field.m"),
         (["construct"], {"field": {"p": 2, "m": 2, "modulus": [1, True, 1]}, "s": 2, "ell": 2},
          "field.modulus"),
+        # out-of-range values, from the file and from the flags
+        (["params", "--with-distance"], dict(FIXTURE, options={"cap": -1}), "options.cap"),
+        (["params", "--with-distance"], dict(FIXTURE, options={"cap": 0}), "options.cap"),
+        (["params", "--with-distance", "--cap", "-1"], FIXTURE, "--cap"),
+        (["enumerate"], dict(small, options={"cap": -1}), "options.cap"),
+        (["enumerate", "--cap", "0"], small, "--cap"),
+        (["enumerate"], dict(small, options={"mode": "random", "count": -5}), "options.count"),
+        (["enumerate", "--mode", "random", "--count", "-3"], small, "--count"),
     ]
     for i, (argv, doc, where) in enumerate(typed):
         path = write_problem(tmp_path, doc, f"typed{i}.json")

@@ -185,21 +185,30 @@ def test_min_distance_matches_oracle_span():
 
 
 def test_min_distance_memory_bounded():
-    """GF(2) 16x16 <(x+1)^15 (y+1)^2>: k=14, n=256.  The peak is the span
-    table plus the two temporaries of one field addition over it, 12 MB
-    at the 2^19-element budget; plus 1 MB for everything else."""
+    """The peak is the span table plus the two temporaries of one field
+    addition over it, 12 MB at the 2^19-element budget, plus 1 MB for
+    everything else; the bound is the same over every field.  Codes:
+    GF(2) 16x16 <(x+1)^15 (y+1)^2> (k=14, n=256), and the 1x8 repetition
+    codes over GF(2^16) and GF(3^10), whose one-row tables fill (nearly)
+    the whole budget."""
     sh = RingShape(F2, 16, 16)
     arr = [[1 if j in (0, 2) else 0 for j in range(16)] for _ in range(16)]
-    gm = generator_matrix(extract_generators(sh, [BiPoly(sh, arr)]))
-    assert (gm.k, gm.n) == (14, 256)
-    tracemalloc.start()
-    try:
-        d = min_distance(gm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d == 32  # 16 * 2, a product of [16, 1, 16] and [16, 14, 2]
-    assert peak < 3 * _TABLE_ELEMS * 8 + (1 << 20), peak
+    # d = 16 * 2: the code is a product of [16, 1, 16] and [16, 14, 2]
+    codes = [(generator_matrix(extract_generators(sh, [BiPoly(sh, arr)])), 14, 256, 32)]
+    for fld in (GF(2, 16), GF(3, 10)):
+        sh = RingShape(fld, 1, 8)
+        gm = generator_matrix(extract_generators(sh, [BiPoly(sh, [[1] * 8])]))
+        codes.append((gm, 1, 8, 8))
+    for gm, k, n, d in codes:
+        assert (gm.k, gm.n) == (k, n)
+        tracemalloc.start()
+        try:
+            got = min_distance(gm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == d
+        assert peak < 3 * _TABLE_ELEMS * 8 + (1 << 20), (gm.shape.field, peak)
 
 
 def test_code_params():

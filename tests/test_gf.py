@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_rem
 
 from tdcyclic import GF, BoundsError, Field, default_modulus, field_descriptor, field_from_descriptor
 from tdcyclic.gf import _is_prime
@@ -143,18 +145,76 @@ def test_field_equality_and_cache():
 
 def test_array_ops_match_scalar_ops():
     rng = np.random.default_rng(7)
-    for F in (GF(3), GF(3, 2), GF(2, 10, modulus=[1, 0, 0, 1] + [0] * 6 + [1])):
+    for F in (GF(3), GF(3, 2), GF(2, 10, modulus=[1, 0, 0, 1] + [0] * 6 + [1]),
+              GF(2, 16), GF(3, 6)):
         a = rng.integers(0, F.q, size=20)
         b = rng.integers(0, F.q, size=20)
+        a[:2], b[1:3] = 0, 0  # zero against nonzero and against zero
         assert [F.add(int(x), int(y)) for x, y in zip(a, b)] == F.add_arrays(a, b).tolist()
         assert [F.neg(int(x)) for x in a] == F.neg_array(a).tolist()
         assert [F.mul(int(x), int(y)) for x, y in zip(a, b)] == F.mul_arrays(a, b).tolist()
         c = int(rng.integers(1, F.q))
         assert [F.mul(c, int(x)) for x in a] == F.scale_array(c, a).tolist()
         assert [F.sub(int(x), int(y)) for x, y in zip(a, b)] == F.sub_arrays(a, b).tolist()
+        if F.m > 1:
+            # scalar results reach json.dumps in the CLI: plain ints only
+            x, y = int(a[5]), int(b[5])
+            results = [F.add(x, y), F.neg(x), F.sub(x, y), F.mul(x, y), F.inv(c),
+                       F.div(x, c), F.pow(x, 3), F.make(x)]
+            assert all(type(r) is int for r in results), [type(r) for r in results]
 
 
 def test_large_field_inverse():
     F = GF(2, 10, modulus=[1, 0, 0, 1] + [0] * 6 + [1])  # x^10 + x^3 + 1
     for a in (1, 2, 3, 577, 1023):
         assert F.mul(a, F.inv(a)) == 1
+
+
+# -- differential check against sympy's GF(p)[x] arithmetic ----------------------
+
+def _to_poly(F, a):
+    """Encoding -> sympy dense polynomial over GF(p) (descending degree)."""
+    return list(reversed(F.coords(a)))
+
+
+def _from_poly(F, f):
+    return F.from_coords(list(reversed(f)))
+
+
+def _sympy_mul(F, a, b):
+    mod = list(reversed(F.modulus))
+    prod = gf_mul(_to_poly(F, a), _to_poly(F, b), F.p, ZZ)
+    return _from_poly(F, gf_rem(prod, mod, F.p, ZZ))
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 9), (2, 16), (3, 6), (5, 4), (3, 10)])
+def test_extension_field_products_match_sympy(p, m):
+    F = GF(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    a = rng.integers(0, F.q, size=300)
+    b = rng.integers(0, F.q, size=300)
+    a[:3], b[2:5] = 0, 0
+    want = [_sympy_mul(F, int(x), int(y)) for x, y in zip(a, b)]
+    assert [F.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+    assert F.mul_arrays(a, b).tolist() == want
+    for c in (0, 1, int(b[-1])):
+        assert F.scale_array(c, a).tolist() == [_sympy_mul(F, c, int(x)) for x in a]
+    for x in a[a != 0][:100]:
+        assert _sympy_mul(F, int(x), F.inv(int(x))) == 1
+
+
+def test_field_axioms_sampled_large_field():
+    F = GF(3, 10)  # q = 59049
+    rng = np.random.default_rng(11)
+    a, b, c = (rng.integers(0, F.q, size=5000) for _ in range(3))
+    a[:50], b[25:75] = 0, 0
+    add, mul = F.add_arrays, F.mul_arrays
+    assert (add(add(a, b), c) == add(a, add(b, c))).all()
+    assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+    assert (add(a, b) == add(b, a)).all()
+    assert (mul(a, b) == mul(b, a)).all()
+    assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
+    assert (add(a, 0) == a).all() and (mul(a, 1) == a).all()
+    assert (add(a, F.neg_array(a)) == 0).all()
+    nz = a[a != 0]
+    assert (mul(nz, [F.inv(int(x)) for x in nz]) == 1).all()
