@@ -35,5 +35,5 @@ for c in rep.checks:
 rep2 = verify_matrix(gm, [g])
 print("matrix checks all pass:", rep2.passed)
 
-# distance by exhaustive enumeration has a hard cap; tiny codes only
+# the distance search is refused above a cap on q^k; desk-scale codes only
 print("\nd recomputed with an explicit cap:", min_distance(gm, cap=1 << 12))

@@ -5,13 +5,16 @@ x^a * gens[j] for every nonzero layer j and 0 <= a < s - deg(layer j),
 in (layer, shift) order; they form an F-basis of the code, so the
 dimension is the sum of s - deg over the layers.
 
-Minimum distance is exhaustive enumeration of the q^k codewords under a
-hard cap, desk scale only.  The first rows of the matrix are expanded
-once into a span table of all their combinations, as many rows as keep
-the table within ``_TABLE_ELEMS`` entries; every combination of the
-remaining rows is then added to the whole table at once.  Each codeword
-costs one field addition per coordinate, and the working set is a few
-table-sized arrays over every field, however long the code is.
+Minimum distance is the Brouwer-Zimmermann information-set search
+(Zimmermann 1996; Grassl 2006) on the generator matrix, under a hard cap
+on q^k, desk scale only.  The matrix is put in systematic form on
+information sets that take new columns first.  Messages of weight
+w = 1, 2, ... are encoded on each of them, which lowers an upper bound
+on d, while the weight every unseen codeword must carry on the new
+columns raises a lower bound; the search stops when the bounds meet.
+Each weight level is built from the one below by adding one scaled row,
+in chunks of at most ``_TABLE_ELEMS`` entries, so the working set stays
+a few chunk-sized arrays over every field, however long the code is.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError
-from .ideal import GeneratorSet
+from .ideal import GeneratorSet, _rref
 from .ring2d import CODEWORD, RingShape
 
 DEFAULT_CAP = 1 << 20
@@ -96,35 +99,75 @@ def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
     return out
 
 
-def _span_table(fld, rows: np.ndarray) -> np.ndarray:
-    """All q^len(rows) F-combinations of rows, one per table row; row 0 is
-    the zero word.  Built by doubling: table = [table; table + c*row ...]."""
-    table = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    for row in rows:
-        multiples = fld.mul_arrays(np.arange(1, fld.q, dtype=np.int64)[:, None, None], row)
-        table = np.concatenate([table, fld.add_arrays(multiples, table).reshape(-1, row.size)])
-    return table
+def _information_sets(fld, rows: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Systematic forms (gamma_i, r_i) of the row space of rows.
+
+    Each gamma_i is the reduced echelon form with its pivots taken first
+    among the columns no earlier gamma pivots on; r_i counts those new
+    pivot columns, so the new columns of different gammas are disjoint.
+    Stops when no new pivot column is left."""
+    used = np.zeros(rows.shape[1], dtype=bool)
+    out = []
+    while True:
+        order = np.argsort(used, kind="stable")  # unused columns first
+        mat, pivots = _rref(rows[:, order], fld)
+        new = [int(order[c]) for c in pivots if not used[order[c]]]
+        if not new:
+            return out
+        gamma = np.empty_like(mat)
+        gamma[:, order] = mat
+        out.append((gamma, len(new)))
+        used[new] = True
 
 
-def _offsets(fld, rows: np.ndarray, base: np.ndarray):
-    """Yield base + every F-combination of rows, base itself first; each is
-    one scaled-row add from its parent."""
-    if len(rows) == 0:
-        yield base
+def _level(fld, rows: np.ndarray, w: int, budget: int):
+    """Yield chunks (words, last) covering the codewords of every message
+    of Hamming weight w whose first nonzero coefficient is 1; last[i] is
+    the index of the last nonzero coefficient of the message of words[i],
+    nondecreasing within a chunk.
+
+    A weight-w message with last index t is a weight-(w-1) message with
+    last index below t plus c * rows[t], c != 0.  A chunk holds at most
+    max(budget, n) elements; level w - 1 is rebuilt with half the budget,
+    so all levels in flight together stay within twice the budget.  A
+    chunk of level w >= 2 is a view of one reused buffer: it is valid
+    until the next chunk is requested."""
+    k, n = rows.shape
+    step = max(1, budget // n)
+    if w == 1:
+        for a in range(0, k, step):
+            yield rows[a:a + step], np.arange(a, min(a + step, k))
         return
-    yield from _offsets(fld, rows[1:], base)
-    for c in range(1, fld.q):
-        yield from _offsets(fld, rows[1:], fld.add_arrays(base, fld.scale_array(c, rows[0])))
+    out = np.empty((step, n), dtype=np.int64)
+    out_last = np.empty(step, dtype=np.int64)
+    for words, last in _level(fld, rows, w - 1, budget // 2):
+        size = 0
+        for t in range(int(last[0]) + 1, k):
+            base = words[:np.searchsorted(last, t)]
+            for c in range(1, fld.q):
+                if size + len(base) > step:
+                    yield out[:size], out_last[:size]
+                    size = 0
+                out[size:size + len(base)] = fld.add_arrays(base, fld.scale_array(c, rows[t]))
+                out_last[size:size + len(base)] = t
+                size += len(base)
+        if size:  # the next parent chunk starts again at a low t
+            yield out[:size], out_last[:size]
 
 
 def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
-    """Minimum Hamming weight over the codewords of all q^k - 1 nonzero
-    messages, by exhaustive enumeration; returns early at weight 1.
+    """Minimum Hamming weight of a nonzero codeword, by the
+    Brouwer-Zimmermann information-set search.
 
-    The first t rows go into a span table of q^t codewords, t as large as
-    keeps q^t * n within _TABLE_ELEMS.  Each combination of the other k - t
-    rows is added to the whole table in one field addition, so memory stays
-    at a few table-sized arrays whatever n is."""
+    The row space is put in systematic form on a sequence of information
+    sets, each taking new columns first (r_i new columns for gamma_i).
+    For w = 1, 2, ... every message of weight w, up to a scalar, is
+    encoded by every gamma_i, and the least weight seen is an upper bound
+    on d.  A codeword not yet seen has weight above w on each information
+    set, so at least w + 1 - (k - r_i) on the new columns of gamma_i; the
+    sum over i is a lower bound, and the search stops when it reaches the
+    upper bound, or at w = k when every codeword has been seen.  Words are
+    built and weighed in chunks of at most _TABLE_ELEMS elements."""
     fld = gm.shape.field
     k, n = gm.k, gm.n
     if k == 0:
@@ -132,17 +175,20 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     total = fld.q**k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    t = k
-    while t > 0 and fld.q**t * n > _TABLE_ELEMS:
-        t -= 1
-    table = _span_table(fld, gm.rows[:t])
-    best = int(np.count_nonzero(table[1:], axis=1).min()) if t else n + 1
-    offsets = _offsets(fld, gm.rows[t:], np.zeros(n, dtype=np.int64))
-    next(offsets)  # the zero offset: the table itself, done above
-    for offset in offsets:
-        if best == 1:
-            break
-        best = min(best, int(np.count_nonzero(fld.add_arrays(table, offset), axis=1).min()))
+    sets = _information_sets(fld, gm.rows)
+    # w = 0: a nonzero codeword is nonzero on each information set, which
+    # lies wholly in the new columns when r_i = k
+    lower = sum(r == k for _, r in sets)
+    best = n + 1
+    for w in range(1, k + 1):
+        for gamma, r in sets:
+            for words, _ in _level(fld, gamma, w, _TABLE_ELEMS):
+                best = min(best, int(np.count_nonzero(words, axis=1).min()))
+                if best <= lower:
+                    return best
+            lower += w >= k - r  # max(0, w + 1 - (k - r)) grew by one
+            if best <= lower or w == k:
+                return best
     return best
 
 

@@ -1,14 +1,19 @@
+import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from tdcyclic import (CODEWORD, GF, BiPoly, GeneratorMatrix, Poly, RingShape,
+from tdcyclic import (CODEWORD, GF, BiPoly, Field, GeneratorMatrix, Poly, RingShape,
                       TooLargeError, bruteforce_ideal, check_shift_closure,
                       code_params, decompose, dimension, encode, enumerate_span,
                       extract_generators, gcd, generator_matrix, min_distance,
                       reduced_span, xs_minus_one)
+from tdcyclic import codegen
 from tdcyclic.codegen import _TABLE_ELEMS, matrix_csv, matrix_json_dict, matrix_text
 from conftest import random_generators
 
@@ -184,13 +189,108 @@ def test_min_distance_matches_oracle_span():
     assert folded == 2  # the two GF(2) k=16 codes overflow the span table
 
 
+@st.composite
+def _full_rank_matrices(draw):
+    """A full-rank k x n matrix over GF(2), GF(3), GF(4) or GF(5), k <= 6,
+    n <= 14, whose columns are random, zero or scaled copies of earlier
+    columns; the last two make later information sets rank-deficient."""
+    fld = draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5)]))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, 14))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy"]))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "copy" and cols:
+            c = draw(st.integers(1, fld.q - 1))
+            cols.append([fld.mul(c, v) for v in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(st.integers(0, fld.q - 1), min_size=k, max_size=k)))
+    rows = np.array(cols, dtype=np.int64).T.copy()
+    assume(reduced_span(fld, n, rows).shape[0] == k)
+    return fld, rows
+
+
+def _least_weight_of_all_messages(fld, rows):
+    msgs = np.array(list(itertools.product(range(fld.q), repeat=len(rows)))[1:])
+    words = np.zeros((len(msgs), rows.shape[1]), dtype=np.int64)
+    for j, row in enumerate(rows):
+        words = fld.add_arrays(words, fld.mul_arrays(msgs[:, j:j + 1], row))
+    return int(np.count_nonzero(words, axis=1).min())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_full_rank_matrices(), st.sampled_from([1, 20, 300, _TABLE_ELEMS]))
+# two codes (d=2) that stop one level too early when the lower bound
+# counts w + 1 on a rank-deficient information set instead of w + 1 - (k - r_i)
+@example((GF(2, 2), np.array([[2, 2, 0, 2, 3, 1, 1, 0], [0, 1, 2, 0, 1, 2, 2, 0],
+                              [0, 0, 1, 0, 2, 3, 2, 0], [2, 1, 1, 0, 1, 2, 0, 0]])),
+         _TABLE_ELEMS)
+@example((GF(5), np.array([[2, 0, 4, 4, 2, 0, 0, 0, 2], [4, 2, 1, 3, 3, 1, 0, 0, 1],
+                           [0, 4, 0, 0, 0, 1, 4, 0, 0], [0, 4, 1, 0, 2, 1, 1, 0, 0],
+                           [1, 3, 2, 2, 4, 4, 4, 0, 1]])),
+         _TABLE_ELEMS)
+def test_min_distance_matches_all_messages_on_random_matrices(code, budget):
+    """d of arbitrary full-rank matrices, not only cyclic codes, against
+    the least weight over all q^k - 1 nonzero messages.  Budgets below
+    one level's size split every level into chunks."""
+    fld, rows = code
+    k, n = rows.shape
+    gm = GeneratorMatrix(RingShape(fld, n, 1), rows, tuple((0, a) for a in range(k)))
+    with mock.patch.object(codegen, "_TABLE_ELEMS", budget):
+        assert min_distance(gm) == _least_weight_of_all_messages(fld, rows)
+
+
+@pytest.mark.parametrize("budget", [1, 9, 40, _TABLE_ELEMS])
+def test_levels_hold_each_message_once(budget):
+    """Level w holds the codeword of every message of weight w whose first
+    nonzero coefficient is 1, once, with the index of its last nonzero
+    coefficient; chunks fit the budget and are sorted by that index."""
+    rng = random.Random(budget)
+    k, n = 5, 4
+    for fld in (F2, GF(3), GF(2, 2)):
+        rows = np.array([[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)])
+        gm = GeneratorMatrix(RingShape(fld, n, 1), rows, tuple((0, a) for a in range(k)))
+        for w in range(1, k + 1):
+            got = []
+            for words, last in codegen._level(fld, rows, w, budget):
+                assert words.size <= max(budget, n)
+                assert np.all(np.diff(last) >= 0)
+                got += [(tuple(word), int(t)) for word, t in zip(words.tolist(), last)]
+            want = []
+            for msg in itertools.product(range(fld.q), repeat=k):
+                support = np.flatnonzero(msg)
+                if len(support) == w and msg[support[0]] == 1:
+                    want.append((tuple(encode(gm, msg).tolist()), int(support[-1])))
+            assert sorted(got) == sorted(want), (fld, w)
+
+
+def test_min_distance_stops_early(monkeypatch):
+    """GF(2) 5x5 <x+1>: k=20, n=25, d=2, q^k at the 2^20 cap.  The
+    information sets prove d=2 from a few hundred words at most, far
+    fewer elements through field addition than all q^k codewords."""
+    sh, gens = _product_code(F2, 5, 5, [1, 1], [1])
+    gm = generator_matrix(extract_generators(sh, gens))
+    assert (gm.k, gm.n) == (20, 25)
+    elems = []
+    add_arrays = Field.add_arrays
+
+    def counting_add_arrays(self, a, b):
+        elems.append(np.broadcast(a, b).size)
+        return add_arrays(self, a, b)
+
+    monkeypatch.setattr(Field, "add_arrays", counting_add_arrays)
+    assert min_distance(gm) == 2
+    assert sum(elems) < 1 << 16
+
+
 def test_min_distance_memory_bounded():
-    """The peak is the span table plus the two temporaries of one field
-    addition over it, 12 MB at the 2^19-element budget, plus 1 MB for
-    everything else; the bound is the same over every field.  Codes:
-    GF(2) 16x16 <(x+1)^15 (y+1)^2> (k=14, n=256), and the 1x8 repetition
-    codes over GF(2^16) and GF(3^10), whose one-row tables fill (nearly)
-    the whole budget."""
+    """The peak stays within three arrays of the 2^19-element chunk
+    budget, 12 MB, plus 1 MB for everything else; the bound is the same
+    over every field.  Codes: GF(2) 16x16 <(x+1)^15 (y+1)^2> (k=14,
+    n=256), and the 1x8 repetition codes over the two largest fields,
+    GF(2^16) and GF(3^10)."""
     sh = RingShape(F2, 16, 16)
     arr = [[1 if j in (0, 2) else 0 for j in range(16)] for _ in range(16)]
     # d = 16 * 2: the code is a product of [16, 1, 16] and [16, 14, 2]

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcd, gf_gcdex, gf_mul, gf_quo, gf_rem
 
 from tdcyclic import GF, CyclicPoly, Poly, cofactor, divides_xs_minus_one, gcd, xgcd, xs_minus_one
 
@@ -152,3 +154,49 @@ def test_field_mismatch_rejected():
         CyclicPoly(GF(2), [1, 0]) * CyclicPoly(GF(3), [1, 0])
     with pytest.raises(ValueError):
         CyclicPoly(GF(2), [1, 0]) + CyclicPoly(GF(2), [1, 0, 0])
+
+
+# -- differential check against sympy's GF(p)[x] arithmetic ----------------------
+
+def _to_sympy(f: Poly) -> list[int]:
+    """Poly -> sympy dense polynomial over GF(p) (descending degree)."""
+    return list(reversed(f.coeffs))
+
+
+def _random_poly(rng, F, max_deg):
+    return Poly(F, [rng.randrange(F.q) for _ in range(rng.randint(0, max_deg))] + [1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gcd_xgcd_and_divisors_match_sympy(p):
+    """gcd, the Bezout pair of xgcd, divides_xs_minus_one and cofactor
+    against sympy's galoistools for s <= 30."""
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(150):
+        s = rng.randint(1, 30)
+        # a shared random factor makes most gcds nontrivial
+        common = _random_poly(rng, F, 4)
+        a = common * _random_poly(rng, F, 12).scale(rng.randrange(1, p))
+        b = common * _random_poly(rng, F, 12).scale(rng.randrange(1, p))
+        A, B = _to_sympy(a), _to_sympy(b)
+        assert _to_sympy(gcd(a, b)) == gf_gcd(A, B, p, ZZ)
+        g, u, v = xgcd(a, b)
+        _, t, h = gf_gcdex(A, B, p, ZZ)
+        assert _to_sympy(g) == h
+        assert gf_add(gf_mul(_to_sympy(u), A, p, ZZ), gf_mul(_to_sympy(v), B, p, ZZ), p, ZZ) == h
+        # Bezout pairs differ by multiples of (b/g, a/g): v is t reduced mod a/g
+        assert _to_sympy(v) == gf_rem(t, gf_quo(A, h, p, ZZ), p, ZZ)
+
+        xs1 = _to_sympy(xs_minus_one(F, s))
+        assert xs1 == [1] + [0] * (s - 1) + [p - 1]
+        f = _random_poly(rng, F, s)
+        if rng.random() < 0.5:
+            f = gcd(f, xs_minus_one(F, s))  # a divisor of x^s - 1
+        divides = gf_rem(xs1, _to_sympy(f), p, ZZ) == []
+        assert divides_xs_minus_one(f, s) == divides
+        if divides:
+            assert _to_sympy(cofactor(f, s)) == gf_quo(xs1, _to_sympy(f), p, ZZ)
+        else:
+            with pytest.raises(ValueError):
+                cofactor(f, s)
