@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .ideal import GeneratorSet, _rref
-from .ring2d import CODEWORD, RingShape
+from .ring2d import RingShape
 
 DEFAULT_CAP = 1 << 20
 _TABLE_ELEMS = 1 << 19
@@ -71,18 +71,16 @@ def dimension(gs: GeneratorSet) -> int:
 def generator_matrix(gs: GeneratorSet) -> GeneratorMatrix:
     """Rows x^a * gens[j], layer-major then shift, codeword flattening."""
     shape = gs.shape
-    rows = []
-    labels = []
-    for L in gs.layers:
-        if L.is_zero:
-            continue
-        base = gs.gens[L.index]
-        for a in range(shape.s - L.deg):
-            rows.append(base.shift_x(a).to_vector(CODEWORD))
-            labels.append((L.index, a))
-    mat = np.stack(rows) if rows else np.zeros((0, shape.n), dtype=np.int64)
+    s = shape.s
+    labels = tuple((L.index, a) for L in gs.layers if not L.is_zero
+                   for a in range(s - L.deg))
+    layer, shift = np.array(labels, dtype=np.intp).reshape(-1, 2).T
+    arrs = np.stack([g.arr for g in gs.gens])
+    # row (j, a) is x^a * gens[j]: array row i comes from row (i - a) % s
+    src_i = (np.arange(s)[None, :] - shift[:, None]) % s
+    mat = arrs[layer[:, None], src_i].reshape(-1, shape.n)
     mat.setflags(write=False)
-    return GeneratorMatrix(shape, mat, tuple(labels))
+    return GeneratorMatrix(shape, mat, labels)
 
 
 def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
@@ -91,12 +89,7 @@ def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
     m = np.asarray(msg, dtype=np.int64)
     if m.shape != (gm.k,):
         raise ValueError(f"message length {m.size} != k = {gm.k}")
-    out = np.zeros(gm.n, dtype=np.int64)
-    for t in range(gm.k):
-        c = fld.make(int(m[t]))
-        if c:
-            out = fld.add_arrays(out, fld.scale_array(c, gm.rows[t]))
-    return out
+    return fld.dot(m % fld.q, gm.rows)
 
 
 def _information_sets(fld, rows: np.ndarray) -> list[tuple[np.ndarray, int]]:

@@ -18,6 +18,13 @@ XOR for p = 2 and otherwise one pass over the base-p digits, one digit
 at a time.  The tables hold about 5q entries, against q^2 for full
 addition and multiplication tables.
 
+``Field.dot`` is the one kernel for linear combinations of rows, c @ rows
+for one coefficient vector or a batch of them.  Prime fields take one
+int64 matrix product and a single reduction mod p.  Extension fields
+gather every product at once; for p = 2 they are XOR-reduced, and for
+odd p each base-p digit is summed and reduced on its own, which takes
+m passes however many rows are combined.
+
 Fields are desk scale (p^m <= 2**16).  Construction checks that p is
 prime and, for extensions, that the modulus is monic of degree m and
 irreducible by exhaustive trial division, so a successfully constructed
@@ -354,6 +361,26 @@ class Field:
         if self.m == 1:
             return (a * b) % self.p
         return self._exp_np[self._log_np[a] + self._log_np[b]]
+
+    def dot(self, c, rows) -> np.ndarray:
+        """c @ rows over the field, for (k,) or (b, k) coefficients c and
+        (k, n) rows; the result has shape (n,) or (b, n)."""
+        c, rows = np.asarray(c, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+        p = self.p
+        if self.m == 1:
+            # exact while k * (p - 1)^2 < 2^63: any k < 2^31 when p < 2^16
+            return (c @ rows) % p
+        # every product c[..., t] * rows[t], shape (..., k, n)
+        prod = self._exp_np[self._log_np[c][..., None] + self._log_np[rows]]
+        if p == 2:
+            return np.bitwise_xor.reduce(prod, axis=-2)
+        # each base-p digit summed over k on its own: m passes, whatever k is
+        out = np.zeros(prod.shape[:-2] + prod.shape[-1:], dtype=np.int64)
+        w = 1
+        for _ in range(self.m):
+            out += (prod // w % p).sum(axis=-2) % p * w
+            w *= p
+        return out
 
     # -- misc ---------------------------------------------------------------
 

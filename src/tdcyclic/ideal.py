@@ -62,30 +62,23 @@ def _rref(mat: np.ndarray, fld) -> tuple[np.ndarray, tuple[int, ...]]:
     return a[:r], tuple(pivots)
 
 
-def _reduce_vector(vec: np.ndarray, rows: np.ndarray, pivots, fld) -> np.ndarray:
-    r = np.array(vec, dtype=np.int64)
-    for row, c in zip(rows, pivots):
-        if r[c]:
-            r = fld.sub_arrays(r, fld.scale_array(int(r[c]), row))
-    return r
-
-
 def _monomial_shift_rows(shape: RingShape, generators) -> np.ndarray:
-    """Internal-order vectorizations of x^a y^b g for all shifts and g."""
-    rows = []
+    """Internal-order vectorizations of x^a y^b g for all shifts and g,
+    ordered by g, then a, then b, in one gather."""
+    arrs = []
     for g in generators:
         if g.shape != shape:
             raise ValueError("generator does not match the ring shape")
-        if g.is_zero:
-            continue
-        base = g.arr
-        for a in range(shape.s):
-            ra = np.roll(base, a, axis=0)
-            for b in range(shape.ell):
-                rows.append(np.roll(ra, b, axis=1).T.reshape(-1))
-    if not rows:
+        if not g.is_zero:
+            arrs.append(g.arr)
+    if not arrs:
         return np.zeros((0, shape.n), dtype=np.int64)
-    return np.stack(rows)
+    xs, ys = np.arange(shape.s), np.arange(shape.ell)
+    # cell (i, j) of x^a y^b g is g[(i - a) % s, (j - b) % ell]; index axes
+    # (a, b, j, i) put it in row a*ell + b at internal index j*s + i
+    src_i = ((xs[None, :] - xs[:, None]) % shape.s)[:, None, None, :]
+    src_j = ((ys[None, :] - ys[:, None]) % shape.ell)[None, :, :, None]
+    return np.stack(arrs)[:, src_i, src_j].reshape(-1, shape.n)
 
 
 # -- types -------------------------------------------------------------------
@@ -111,7 +104,10 @@ class EchelonBasis:
         """Remainder of e after elimination against the basis."""
         if e.shape != self.shape:
             raise ValueError("element does not match the ring shape")
-        r = _reduce_vector(e.to_vector(INTERNAL), self.matrix, self.pivots, self.shape.field)
+        fld = self.shape.field
+        v = e.to_vector(INTERNAL)
+        # the rows are fully reduced, so v's own pivot entries are the weights
+        r = fld.sub_arrays(v, fld.dot(v[np.asarray(self.pivots, dtype=np.intp)], self.matrix))
         return BiPoly.from_vector(self.shape, r, INTERNAL)
 
     def contains(self, e: BiPoly) -> bool:

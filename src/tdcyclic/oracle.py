@@ -2,14 +2,24 @@
 
 Everything here recomputes spans from scratch: the ideal is obtained as a
 fixed-point closure of raw codeword vectors under row and column shifts,
-tracked by a self-contained incremental elimination routine over the
-row-major (codeword) flattening.  None of the reduced-echelon machinery
-of the engine is reused: agreement between the two paths is the point
-of this module, so the overlap is kept to the shared value types only.
+tracked by a self-contained elimination routine over the row-major
+(codeword) flattening.  None of the reduced-echelon machinery of the
+engine is reused: agreement between the two paths is the point of this
+module, so the overlap is kept to the shared value types and the field's
+arithmetic.
+
+The span is kept as fully reduced rows (pivot 1, zero in every other
+pivot column), so the residual of a whole batch of vectors is one field
+``dot``.  The closure runs in rounds: each round shifts every row the
+previous round added, both ways at once by an index gather, and adds
+that batch to the span; it stops at the first round that adds nothing.
+Raw vectors are canonicalized as ``BiPoly`` does it: their length must
+be s*ell, and entries are taken mod q.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -23,61 +33,90 @@ MAX_SPAN_ENUMERATION = 1 << 20
 
 
 class _Reducer:
-    """Incremental span tracker: pivot column -> normalized row vector."""
+    """Span of length-n vectors as fully reduced rows: rows[i] has a 1 in
+    column pivots[i] and 0 in the pivot column of every other row."""
 
     def __init__(self, fld, n: int):
         self.fld = fld
-        self.n = n
-        self.pivots: dict[int, np.ndarray] = {}
-
-    def residual(self, vec: np.ndarray) -> np.ndarray:
-        r = np.array(vec, dtype=np.int64)
-        fld = self.fld
-        for c, row in self.pivots.items():
-            if r[c]:
-                r = fld.sub_arrays(r, fld.scale_array(int(r[c]), row))
-        return r
-
-    def contains(self, vec) -> bool:
-        return not self.residual(np.asarray(vec, dtype=np.int64)).any()
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True if it enlarged the span."""
-        r = self.residual(np.asarray(vec, dtype=np.int64))
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        if r[c] != 1:
-            r = self.fld.scale_array(self.fld.inv(int(r[c])), r)
-        self.pivots[c] = r
-        return True
+        self.rows = np.zeros((0, n), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.intp)
 
     @property
     def dimension(self) -> int:
         return len(self.pivots)
 
-    def reduced_rows(self) -> np.ndarray:
-        """Unique reduced-echelon basis: pivot order, back-eliminated."""
-        cols = sorted(self.pivots)
-        rows = [np.array(self.pivots[c]) for c in cols]
+    def residuals(self, mat: np.ndarray) -> np.ndarray:
+        """Each row of mat minus its projection on the span, in one dot."""
         fld = self.fld
-        for i in range(len(rows) - 1, -1, -1):
-            for k in range(i):
-                f = int(rows[k][cols[i]])
-                if f:
-                    rows[k] = fld.sub_arrays(rows[k], fld.scale_array(f, rows[i]))
-        if not rows:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.stack(rows)
+        return fld.sub_arrays(mat, fld.dot(mat[:, self.pivots], self.rows))
+
+    def first_outside(self, mat: np.ndarray) -> int | None:
+        """Index of the first row of mat outside the span, or None."""
+        bad = np.flatnonzero(self.residuals(mat).any(axis=1))
+        return int(bad[0]) if bad.size else None
+
+    def extend(self, mat: np.ndarray) -> np.ndarray:
+        """Add the rows of mat to the span by Gauss-Jordan elimination,
+        one step per new pivot, clearing each new pivot column from the
+        stored rows too.  Returns the rows it added, as added."""
+        fld = self.fld
+        r = self.dimension
+        res = self.residuals(mat)
+        work = np.concatenate([self.rows, res[res.any(axis=1)]])
+        pivots = self.pivots.tolist()
+        top = r
+        while top < len(work):
+            live = np.flatnonzero(work[top:].any(axis=1))
+            if not live.size:
+                break
+            i = top + int(live[0])
+            if i != top:
+                work[[top, i]] = work[[i, top]]
+            c = int(np.flatnonzero(work[top])[0])
+            pv = int(work[top, c])
+            if pv != 1:
+                work[top] = fld.scale_array(fld.inv(pv), work[top])
+            others = np.flatnonzero(work[:, c])
+            others = others[others != top]
+            if others.size:
+                work[others] = fld.sub_arrays(
+                    work[others], fld.mul_arrays(work[others, c][:, None], work[top][None, :]))
+            pivots.append(c)
+            top += 1
+        # a later extend works on a new array, so these rows are never written again
+        self.rows, self.pivots = work[:top], np.array(pivots, dtype=np.intp)
+        return work[r:top]
+
+    def reduced_rows(self) -> np.ndarray:
+        """The unique reduced-echelon basis: the stored rows by pivot."""
+        return self.rows[np.argsort(self.pivots)]
 
 
-def _shift_rows(vec: np.ndarray, s: int, ell: int) -> np.ndarray:
-    return np.roll(vec.reshape(s, ell), 1, axis=0).reshape(-1)
+@functools.lru_cache(maxsize=128)
+def _shift_index(s: int, ell: int) -> np.ndarray:
+    """(2, n) gather indices of the one-step row and column shifts: the
+    shifted vector is vec[_shift_index(s, ell)[t]] (t = 0 rows, 1 columns)."""
+    i, j = np.divmod(np.arange(s * ell), ell)
+    idx = np.stack([(i - 1) % s * ell + j, i * ell + (j - 1) % ell])
+    idx.setflags(write=False)
+    return idx
 
 
-def _shift_cols(vec: np.ndarray, s: int, ell: int) -> np.ndarray:
-    return np.roll(vec.reshape(s, ell), 1, axis=1).reshape(-1)
+def _shifts(shape: RingShape, mat: np.ndarray) -> np.ndarray:
+    """Both one-step shifts of every row of mat, in one gather."""
+    return mat[:, _shift_index(shape.s, shape.ell)].reshape(-1, shape.n)
+
+
+def _raw_vectors(fld, n: int, vectors) -> np.ndarray:
+    """Stack raw vectors as canonical length-n rows: every vector must
+    have n entries, and entries are reduced mod q."""
+    out = np.zeros((len(vectors), n), dtype=np.int64)
+    for t, v in enumerate(vectors):
+        a = np.asarray(v, dtype=np.int64).reshape(-1)
+        if a.size != n:
+            raise ValueError(f"vector length {a.size} != n = {n}")
+        out[t] = a
+    return out % fld.q
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,38 +132,37 @@ class ClosureBasis:
         return self.vectors.shape[0]
 
     def contains(self, vec) -> bool:
-        return self._reducer.contains(vec)
+        return self._reducer.first_outside(
+            _raw_vectors(self.shape.field, self.shape.n, [vec])) is None
 
     def contains_elem(self, e: BiPoly) -> bool:
-        return self._reducer.contains(e.to_vector(CODEWORD))
+        return self._reducer.first_outside(e.to_vector(CODEWORD)[None, :]) is None
 
 
 def bruteforce_ideal(shape: RingShape, generators) -> ClosureBasis:
     """Close the generators under row shift, column shift and linearity.
 
-    Works purely on flattened codeword vectors: every time a vector
-    enlarges the span, its two one-step shifts join the worklist; linear
-    closure is implicit in the span tracking.  The fixed point is the
-    smallest shift-closed subspace containing the generators, i.e. the
-    ideal they generate.
+    Works purely on flattened codeword vectors, in rounds: the rows that
+    enlarged the span in one round are shifted both ways, and the shifts
+    are added to the span in the next; linear closure is implicit in the
+    span tracking.  The first round that adds nothing leaves the smallest
+    shift-closed subspace containing the generators, i.e. the ideal they
+    generate.
     """
     if shape.n > MAX_ORACLE_LENGTH:
         raise BoundsError(f"oracle handles s*ell <= {MAX_ORACLE_LENGTH}, got {shape.n}")
-    s, ell = shape.s, shape.ell
-    red = _Reducer(shape.field, shape.n)
-    work = []
+    raw = []
     for g in generators:
         if isinstance(g, BiPoly):
             if g.shape != shape:
                 raise ValueError("generator does not match the ring shape")
-            work.append(g.to_vector(CODEWORD))
+            raw.append(g.to_vector(CODEWORD))
         else:
-            work.append(np.asarray(g, dtype=np.int64).reshape(-1))
-    while work:
-        v = work.pop()
-        if red.insert(v):
-            work.append(_shift_rows(v, s, ell))
-            work.append(_shift_cols(v, s, ell))
+            raw.append(g)
+    red = _Reducer(shape.field, shape.n)
+    added = red.extend(_raw_vectors(shape.field, shape.n, raw))
+    while added.size and red.dimension < shape.n:
+        added = red.extend(_shifts(shape, added))
     return ClosureBasis(shape, red.reduced_rows(), red)
 
 
@@ -147,8 +185,7 @@ def reduced_span(fld, n: int, vectors) -> np.ndarray:
     """Unique reduced-echelon basis of the span of raw length-n vectors,
     computed by this module's own elimination routine."""
     red = _Reducer(fld, n)
-    for v in vectors:
-        red.insert(np.asarray(v, dtype=np.int64).reshape(-1))
+    red.extend(_raw_vectors(fld, n, list(vectors)))
     return red.reduced_rows()
 
 
@@ -157,16 +194,10 @@ def check_shift_closure(shape: RingShape, vectors) -> bool:
     both shifts.  The span is NOT closed first; that is the point."""
     if isinstance(vectors, ClosureBasis):
         vectors = vectors.vectors
+    vs = _raw_vectors(shape.field, shape.n, list(vectors))
     red = _Reducer(shape.field, shape.n)
-    vs = [np.asarray(v, dtype=np.int64).reshape(-1) for v in vectors]
-    for v in vs:
-        red.insert(v)
-    for v in vs:
-        if not red.contains(_shift_rows(v, shape.s, shape.ell)):
-            return False
-        if not red.contains(_shift_cols(v, shape.s, shape.ell)):
-            return False
-    return True
+    red.extend(vs)
+    return red.first_outside(_shifts(shape, vs)) is None
 
 
 @dataclass(frozen=True)
@@ -200,9 +231,9 @@ def _span_equal(a: ClosureBasis, b: ClosureBasis):
     """(equal?, offending vector) for two closure spans."""
     if a.dimension != b.dimension:
         return False, None
-    for v in a.vectors:
-        if not b.contains(v):
-            return False, v.tolist()
+    i = b._reducer.first_outside(a.vectors)
+    if i is not None:
+        return False, a.vectors[i].tolist()
     return True, None
 
 
@@ -220,11 +251,9 @@ def verify_generator_set(gs, generators) -> Report:
     ideal = bruteforce_ideal(shape, generators)
     checks = []
 
-    bad = None
-    for p in gs.gens:
-        if not ideal.contains_elem(p):
-            bad = p.to_vector(CODEWORD).tolist()
-            break
+    gens = np.stack([p.to_vector(CODEWORD) for p in gs.gens])
+    i = ideal._reducer.first_outside(gens)
+    bad = None if i is None else gens[i].tolist()
     checks.append(CheckResult("gens-in-ideal", bad is None, bad))
 
     regen = bruteforce_ideal(shape, [p for p in gs.gens if not p.is_zero])
@@ -308,9 +337,9 @@ def verify_matrix(gm, generators) -> Report:
     ideal = bruteforce_ideal(shape, generators)
     checks = []
 
+    rows = _raw_vectors(shape.field, shape.n, gm.rows)
     red = _Reducer(shape.field, shape.n)
-    for row in gm.rows:
-        red.insert(row)
+    red.extend(rows)
     ok = red.dimension == len(gm.labels)
     checks.append(CheckResult("rank", ok, None if ok else [red.dimension, len(gm.labels)]))
 
@@ -318,17 +347,13 @@ def verify_matrix(gm, generators) -> Report:
     if red.dimension != ideal.dimension:
         bad = [red.dimension, ideal.dimension]
     else:
-        for v in ideal.vectors:
-            if not red.contains(v):
-                bad = v.tolist()
-                break
+        i = red.first_outside(ideal.vectors)
+        if i is not None:
+            bad = ideal.vectors[i].tolist()
     checks.append(CheckResult("row-space-equality", bad is None, bad))
 
-    bad = None
-    for row in gm.rows:
-        if not ideal.contains(row):
-            bad = row.tolist()
-            break
+    i = ideal._reducer.first_outside(rows)
+    bad = None if i is None else gm.rows[i].tolist()
     checks.append(CheckResult("rows-in-ideal", bad is None, bad))
 
     return Report(tuple(checks))

@@ -97,6 +97,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_corrupt_matches_golden(tmp_path, capsys):
+    # recorded before the oracle's span tracking was batched: the failing
+    # checks and their counterexamples must not change with its internals
+    path = write_problem(tmp_path, FIXTURE)
+    code, out, _ = run(capsys, ["verify", "--input", path, "--corrupt"])
+    assert code == 5
+    assert out == (DATA / "fixture_verify_corrupt.json").read_text()
+
 def test_enumerate_exhaustive(tmp_path, capsys):
     path = write_problem(tmp_path, FIXTURE)
     code, out, _ = run(capsys, ["enumerate", "--input", path, "--mode", "exhaustive"])

@@ -159,9 +159,12 @@ def test_min_distance_matches_oracle_span():
     """d against the least nonzero weight of the oracle's own enumeration
     of the ideal, which shares no code with min_distance."""
     F3, F4 = GF(3), GF(2, 2)
-    cases = [
+    # the two GF(2) k=16 codes are also checked on a second basis
+    rebased = [
         _product_code(F2, 5, 5, [1, 1], [1, 1]),  # k=16, d=4
         _product_code(F2, 4, 4, [1], [1]),        # the whole ring: k=16, d=1
+    ]
+    cases = rebased + [
         _product_code(F3, 3, 4, [1, 1], [1, 0, 1]),
         _product_code(F4, 3, 3, [1, 1], [1]),
     ]
@@ -171,7 +174,7 @@ def test_min_distance_matches_oracle_span():
         F = rng.choice([F2, F3, F4])
         sh = RingShape(F, rng.randint(1, 4), rng.randint(1, 4))
         cases.append((sh, random_generators(rng, sh)))
-    for sh, gens in cases:
+    for i, (sh, gens) in enumerate(cases):
         gm = generator_matrix(extract_generators(sh, gens))
         if gm.k == 0 or sh.field.q**gm.k > 1 << 16:
             continue
@@ -179,14 +182,14 @@ def test_min_distance_matches_oracle_span():
         weights = np.count_nonzero(span, axis=1)
         d = int(weights[weights > 0].min())
         assert min_distance(gm) == d, (sh, gm.rows)
-        if sh.field.q**gm.k * gm.n > _TABLE_ELEMS:
-            # the same code on the basis r_i + r_k (i < k), r_k: on the whole
-            # ring only the walk over the rows outside the table reaches d=1
+        if i < len(rebased):
+            # the same code on the basis r_i + r_k (i < k), r_k: d belongs
+            # to the code, so it must not depend on the basis
             rows = gm.rows.copy()
             rows[:-1] = sh.field.add_arrays(rows[:-1], rows[-1])
             assert min_distance(GeneratorMatrix(sh, rows, gm.labels)) == d
             folded += 1
-    assert folded == 2  # the two GF(2) k=16 codes overflow the span table
+    assert folded == 2
 
 
 @st.composite

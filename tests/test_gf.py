@@ -218,3 +218,33 @@ def test_field_axioms_sampled_large_field():
     assert (add(a, F.neg_array(a)) == 0).all()
     nz = a[a != 0]
     assert (mul(nz, [F.inv(int(x)) for x in nz]) == 1).all()
+
+
+def _scalar_dot(F, c, rows, n):
+    """sum_t c[t] * rows[t] by scalar mul and add, one entry at a time."""
+    out = [0] * n
+    for ct, row in zip(c, rows):
+        out = [F.add(o, F.mul(ct, r)) for o, r in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (2, 9), (3, 6), (3, 10)])
+def test_dot_matches_scalar_loop(p, m):
+    F = GF(p, m)
+    rng = np.random.default_rng(p * 1000 + m)
+    n = 7
+    for k in (0, 1, 2, 5, 12):
+        rows = rng.integers(0, F.q, size=(k, n))
+        batch = rng.integers(0, F.q, size=(4, k))
+        if k:
+            rows[0, :3] = 0
+            batch[0] = 0               # an all-zero coefficient vector
+            batch[1, k // 2] = 0       # a zero coefficient among nonzeros
+            batch[2, :] = F.q - 1
+        got = F.dot(batch, rows)
+        assert got.shape == (4, n) and got.dtype == np.int64
+        want = [_scalar_dot(F, b.tolist(), rows.tolist(), n) for b in batch]
+        assert got.tolist() == want
+        for b, w in zip(batch, want):
+            one = F.dot(b, rows)
+            assert one.shape == (n,) and one.tolist() == w

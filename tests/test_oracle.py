@@ -1,8 +1,14 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcyclic import (GF, BiPoly, BoundsError, RingShape, TooLargeError,
                       bruteforce_ideal, check_shift_closure, enumerate_span,
@@ -126,3 +132,103 @@ def test_engine_oracle_agreement_random():
         assert eng.dimension == orc.dimension
         eng_codeword = [r.to_vector("codeword") for r in eng.rows]
         assert np.array_equal(reduced_span(F, sh.n, eng_codeword), orc.vectors)
+
+
+def _failures(rep):
+    return [(c.name, c.counterexample) for c in rep.checks if not c.passed]
+
+
+def test_counterexamples_pinned():
+    """Failing checks and their counterexample vectors, recorded before the
+    span tracking was batched: each check still reports the first failing
+    vector in the same order."""
+    sh = RingShape(GF(3), 3, 3)
+    gens = [BiPoly(sh, [[2, 0, 0], [1, 0, 0], [0, 0, 0]])]  # <x - 1>
+    gs = extract_generators(sh, gens)
+    stranger = BiPoly(sh, [[2, 1, 0], [0, 0, 0], [0, 0, 0]])  # y - 1
+    bad = dataclasses.replace(gs, gens=(stranger,) + gs.gens[1:])
+    assert _failures(verify_generator_set(bad, gens)) == [
+        ("gens-in-ideal", [2, 1, 0, 0, 0, 0, 0, 0, 0]), ("span-equality", None),
+        ("triangular", [2, 1, 0, 0, 0, 0, 0, 0, 0]), ("base-divisibility", [2, 0, 0])]
+    gm = generator_matrix(gs)
+    rows = gm.rows.copy()
+    rows[-1] = stranger.to_vector("codeword")
+    assert _failures(verify_matrix(dataclasses.replace(gm, rows=rows), gens)) == [
+        ("row-space-equality", [0, 0, 1, 0, 0, 0, 0, 0, 2]),
+        ("rows-in-ideal", [2, 1, 0, 0, 0, 0, 0, 0, 0])]
+
+    sh = RingShape(GF(2, 2), 2, 3)
+    gens = [BiPoly(sh, [[1, 1, 0], [0, 0, 0]])]
+    gm = generator_matrix(extract_generators(sh, gens))
+    rows = gm.rows.copy()
+    rows[0] = [0, 0, 0, 0, 0, 2]
+    assert _failures(verify_matrix(dataclasses.replace(gm, rows=rows), gens)) == [
+        ("row-space-equality", [1, 0, 1, 0, 0, 0]), ("rows-in-ideal", [0, 0, 0, 0, 0, 2])]
+
+    # <x + 1> has the dimension of <x - 1> over GF(3) but another span
+    sh = RingShape(GF(3), 2, 2)
+    gens = [BiPoly(sh, [[2, 0], [1, 0]])]
+    plus = BiPoly(sh, [[1, 0], [1, 0]])
+    swapped = dataclasses.replace(extract_generators(sh, gens), gens=(plus, plus.shift_y(1)))
+    assert _failures(verify_generator_set(swapped, gens)) == [
+        ("gens-in-ideal", [1, 0, 1, 0]), ("span-equality", [1, 0, 2, 0]),
+        ("triangular", [1, 0, 1, 0]), ("base-divisibility", [1, 1])]
+
+
+def test_raw_vectors_canonicalized_in_subprocess():
+    # over GF(4) an entry -1 once left the elimination spinning forever, so
+    # run it where a hang fails the test instead of the whole suite
+    code = ("from tdcyclic import GF, RingShape, bruteforce_ideal\n"
+            "b = bruteforce_ideal(RingShape(GF(2, 2), 2, 2), [[-1, 0, 0, 0]])\n"
+            "print(b.vectors.tolist())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
+
+
+def test_raw_vectors_reduced_mod_q_and_length_checked():
+    F4 = GF(2, 2)
+    sh = RingShape(F4, 2, 2)
+    # -3 and 5 are 1 mod 4, as BiPoly reads them: the ideal <1 + x>
+    basis = bruteforce_ideal(sh, [[[-3, 0], [5, 0]]])
+    assert basis.vectors.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
+    assert reduced_span(F4, 4, [[-1, 0, 5, 0]]).tolist() == [[1, 0, 2, 0]]
+    assert reduced_span(GF(3), 2, [[-1, 4]]).tolist() == [[1, 2]]
+    assert basis.contains([6, -1, 2, 3]) and not basis.contains([7, 0, 0, 0])
+    assert not check_shift_closure(sh, [[-1, 0, 0, 0]])
+    assert check_shift_closure(sh, [[-1, 0, 0, 0], [0, 5, 0, 0], [0, 0, 9, 0], [0, 0, 0, 7]])
+    calls = [lambda: bruteforce_ideal(sh, [[1, 0, 0]]),
+             lambda: reduced_span(F4, 4, [[1, 0, 0, 0, 0]]),
+             lambda: check_shift_closure(sh, [[1, 0, 0, 0], [1, 0]]),
+             lambda: basis.contains([1, 0, 0])]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"vector length \d != n = 4"):
+            call()
+
+
+def _all_monomial_shifts(shape, arr):
+    a = np.asarray(arr, dtype=np.int64)
+    return [np.roll(np.roll(a, i, axis=0), j, axis=1).reshape(-1)
+            for i in range(shape.s) for j in range(shape.ell)]
+
+
+@st.composite
+def _small_ideals(draw):
+    F = draw(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(3, 2)]))
+    s, ell = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.integers(0, F.q - 1)
+    arrs = draw(st.lists(st.lists(st.lists(cell, min_size=ell, max_size=ell),
+                                  min_size=s, max_size=s), min_size=1, max_size=3))
+    return RingShape(F, s, ell), arrs
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_small_ideals())
+def test_closure_is_span_of_all_monomial_shifts(problem):
+    sh, arrs = problem
+    shifts = [v for arr in arrs for v in _all_monomial_shifts(sh, arr)]
+    want = reduced_span(sh.field, sh.n, shifts)
+    got = bruteforce_ideal(sh, [BiPoly(sh, arr) for arr in arrs])
+    assert np.array_equal(got.vectors, want)
+    assert check_shift_closure(sh, got)
