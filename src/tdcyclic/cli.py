@@ -216,8 +216,9 @@ def cmd_verify(args) -> int:
                 break
         gs = dataclasses.replace(gs, gens=tuple(gens))
     gm = codegen.generator_matrix(gs)
-    rep_gs = oracle.verify_generator_set(gs, prob.generators)
-    rep_gm = oracle.verify_matrix(gm, prob.generators)
+    closure = oracle.bruteforce_ideal(prob.shape, prob.generators)
+    rep_gs = oracle.verify_generator_set(gs, closure)
+    rep_gm = oracle.verify_matrix(gm, closure)
     checks = []
     for prefix, rep in (("generator-set", rep_gs), ("matrix", rep_gm)):
         for c in rep.to_json_dict()["checks"]:

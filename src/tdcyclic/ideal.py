@@ -7,17 +7,24 @@ the y-direction:
   appear as the y^j coefficient of an ideal element vanishing below j),
 * a triangular generating polynomial per layer, canonicalized so that
   every higher coordinate is reduced below the degree of that layer's
-  generator (a Hermite-style normal form, which makes the output unique
-  for the ideal regardless of how it was presented),
+  generator (the Hermite normal form of the ideal as an F[x]-module,
+  which makes the output unique for the ideal regardless of how it was
+  presented),
 * the table of exact quotients of every coordinate by the base layer
   generator.
 
 All layer data is read off one reduced row-echelon basis of the ideal as
-an F-vector space, built over the block-internal flattening where the
-rows with pivots at or beyond block j are exactly the ideal elements
-vanishing below j.  The telescoping peel-off recursion appears in
-``decompose``, which rewrites a member as a combination of the layers'
-generating polynomials (and detects non-members).
+an F-vector space.  The elimination orders the columns by y-block
+ascending and, within a block, by x-degree descending, so a row's pivot
+is the leading term of its lowest nonzero coordinate.  The pivots of
+block j then sit at exactly the degrees deg(g_j) .. s-1 of the layer
+generator g_j, and the row with the lowest of them is the layer's
+generating polynomial: it vanishes below j, its y^j coordinate is the
+monic element of least degree in the coefficient ideal, i.e. g_j, and
+reduction against the pivots of every higher block i leaves its y^i
+coordinate below deg(g_i).  The telescoping peel-off recursion appears
+in ``decompose``, which rewrites a member as a combination of the
+layers' generating polynomials (and detects non-members).
 """
 
 from __future__ import annotations
@@ -26,10 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisibilityError, NotMember
+from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
-from .polyring import CyclicPoly, Poly, cofactor, gcd, xgcd, xs_minus_one
+from .polyring import CyclicPoly, Poly, cofactor
 from .ring2d import INTERNAL, BiPoly, RingShape
+
+# entries of the (nonzero generators * n) x n shift matrix span_basis
+# eliminates; 2^21 is two generators at 32 x 32
+MAX_SHIFT_MATRIX_ELEMS = 1 << 21
 
 
 # -- exact linear algebra over the field (engine side) ----------------------
@@ -63,20 +74,26 @@ def _rref(mat: np.ndarray, fld) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _monomial_shift_rows(shape: RingShape, generators) -> np.ndarray:
-    """Internal-order vectorizations of x^a y^b g for all shifts and g,
-    ordered by g, then a, then b, in one gather."""
+    """Vectorizations of x^a y^b g for all shifts and g, ordered by g,
+    then a, then b, in one gather, over the elimination order: cell
+    (i, j) at index j*s + s-1-i.  Refuses a matrix over the budget before
+    allocating it."""
     arrs = []
     for g in generators:
         if g.shape != shape:
             raise ValueError("generator does not match the ring shape")
         if not g.is_zero:
             arrs.append(g.arr)
+    if len(arrs) * shape.n * shape.n > MAX_SHIFT_MATRIX_ELEMS:
+        raise BoundsError(
+            f"shift matrix of {len(arrs)} generator(s) * {shape.n} rows by {shape.n} "
+            f"columns exceeds the elimination budget of {MAX_SHIFT_MATRIX_ELEMS} entries")
     if not arrs:
         return np.zeros((0, shape.n), dtype=np.int64)
     xs, ys = np.arange(shape.s), np.arange(shape.ell)
     # cell (i, j) of x^a y^b g is g[(i - a) % s, (j - b) % ell]; index axes
-    # (a, b, j, i) put it in row a*ell + b at internal index j*s + i
-    src_i = ((xs[None, :] - xs[:, None]) % shape.s)[:, None, None, :]
+    # (a, b, j, t) put it in row a*ell + b at index j*s + t, where i = s-1-t
+    src_i = ((xs[::-1][None, :] - xs[:, None]) % shape.s)[:, None, None, :]
     src_j = ((ys[None, :] - ys[:, None]) % shape.ell)[None, :, :, None]
     return np.stack(arrs)[:, src_i, src_j].reshape(-1, shape.n)
 
@@ -87,8 +104,11 @@ def _monomial_shift_rows(shape: RingShape, generators) -> np.ndarray:
 class EchelonBasis:
     """Reduced row-echelon F-basis of an ideal, over the internal order.
 
-    Pivot columns are strictly increasing with pivot entries 1, cleared
-    elsewhere; the span is closed under both shifts by construction.
+    The elimination ran with y-blocks ascending and x-degrees descending
+    within each block, and ``pivots`` lists each row's pivot as an
+    internal index in that order: blocks ascending, degrees descending
+    within a block.  Pivot entries are 1 and every other row is 0 in a
+    pivot's column; the span is closed under both shifts by construction.
     """
 
     shape: RingShape
@@ -175,91 +195,56 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
     """Echelon F-basis of the ideal generated by the given elements.
 
     The F-span of all monomial shifts of the generators equals the ideal,
-    so one Gaussian elimination over the internal flattening suffices.
+    so one Gaussian elimination suffices; it runs over the elimination
+    order and the result is mapped back to the internal flattening.
     Zero generators are ignored; an empty list gives the zero ideal.
     """
+    s = shape.s
     mat, pivots = _rref(_monomial_shift_rows(shape, generators), shape.field)
+    # reversing the x-degrees within each block maps index j*s + t to j*s + s-1-t
+    mat = mat.reshape(len(mat), shape.ell, s)[:, :, ::-1].reshape(len(mat), shape.n)
     mat.setflags(write=False)
+    pivots = tuple(p + s - 1 - 2 * (p % s) for p in pivots)
     rows = tuple(BiPoly.from_vector(shape, r, INTERNAL) for r in mat)
     return EchelonBasis(shape, rows, mat, pivots)
+
+
+def _layer_row(basis: EchelonBasis, j: int) -> int | None:
+    """Index of the basis row whose pivot is the lowest degree in block j,
+    i.e. the last of that block in elimination order; None if block j
+    has no pivot."""
+    s = basis.shape.s
+    rows = [r for r, p in enumerate(basis.pivots) if p // s == j]
+    return rows[-1] if rows else None
 
 
 def layer_generator(basis: EchelonBasis, j: int) -> LayerInfo:
     """Monic generator of the coefficient ideal of layer j.
 
-    Basis rows with pivot at or beyond block j are exactly the ideal
-    elements vanishing below j; their block-j coordinates span the
-    coefficient ideal, whose monic generator is the gcd of their lifts
-    together with x^s - 1.
+    It is the y^j coordinate of the basis row whose pivot is the lowest
+    degree in block j: that row vanishes below j, and no ideal element
+    vanishing below j has a nonzero y^j coordinate of lower degree.
     """
     shape = basis.shape
     s, fld = shape.s, shape.field
     if not 0 <= j < shape.ell:
         raise IndexError(f"layer index {j} out of range [0, {shape.ell})")
-    lifts = []
-    for row, pivot in zip(basis.matrix, basis.pivots):
-        if pivot >= j * s:
-            block = row[j * s:(j + 1) * s]
-            if block.any():
-                lifts.append(Poly(fld, block.tolist()))
-    if not lifts:
+    r = _layer_row(basis, j)
+    if r is None:
         return LayerInfo(j, CyclicPoly.zero(fld, s), s, Poly.one(fld))
-    g = xs_minus_one(fld, s)
-    for c in lifts:
-        g = gcd(g, c)
-    return LayerInfo(j, CyclicPoly.from_poly(g, s), g.degree, cofactor(g, s))
-
-
-def _layer_witness(basis: EchelonBasis, j: int, layer: LayerInfo) -> BiPoly:
-    """Ideal element vanishing below j whose y^j coordinate is the layer
-    generator, built by folding extended-gcd coefficients over the basis
-    rows that contribute to the layer."""
-    shape = basis.shape
-    s, fld = shape.s, shape.field
-    acc = None          # running combination, an ideal element
-    g = None            # gcd of the block-j lifts consumed so far
-    for row_vec, pivot, row in zip(basis.matrix, basis.pivots, basis.rows):
-        if pivot < j * s:
-            continue
-        block = row_vec[j * s:(j + 1) * s]
-        if not block.any():
-            continue
-        c = Poly(fld, block.tolist())
-        if acc is None:
-            g = c.monic()
-            acc = row.scale(fld.inv(c.lc))
-        else:
-            g2, u, v = xgcd(g, c)
-            acc = acc * CyclicPoly.from_poly(u, s) + row * CyclicPoly.from_poly(v, s)
-            g = g2
-        if g.degree == layer.deg:
-            break  # gcd cannot drop further
-    if acc is None or g != layer.gen.lift():
-        raise RuntimeError(f"layer {j}: witness gcd fold disagrees with the layer generator")
-    return acc
+    gen = basis.rows[r].coord(j)
+    return LayerInfo(j, gen, basis.pivots[r] % s, cofactor(gen.lift(), s))
 
 
 def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
-    """Canonical GeneratorSet read off an echelon basis of the ideal."""
+    """Canonical GeneratorSet read off an echelon basis of the ideal: the
+    generating polynomial of layer j is the basis row layer_generator
+    reads, which is already reduced against every higher layer."""
     shape = basis.shape
-    s, ell, fld = shape.s, shape.ell, shape.field
+    ell = shape.ell
     layers = tuple(layer_generator(basis, j) for j in range(ell))
-
-    gens: list[BiPoly | None] = [None] * ell
-    for j in range(ell - 1, -1, -1):
-        if layers[j].is_zero:
-            gens[j] = BiPoly.zero(shape)
-            continue
-        p = _layer_witness(basis, j, layers[j])
-        # Hermite reduction: clear coordinate i below deg(layer i), ascending,
-        # using the already-canonical generators of the higher layers
-        for i in range(j + 1, ell):
-            if layers[i].is_zero:
-                continue
-            q, _ = divmod(p.coord(i).lift(), layers[i].gen.lift())
-            if q:
-                p = p - gens[i] * CyclicPoly.from_poly(q, s)
-        gens[j] = p
+    rows = (_layer_row(basis, j) for j in range(ell))
+    gens = [BiPoly.zero(shape) if r is None else basis.rows[r] for r in rows]
 
     base = layers[0].gen.lift() if not layers[0].is_zero else None
     quotients = []

@@ -227,6 +227,15 @@ class Report:
         return None
 
 
+def _ideal_of(shape: RingShape, generators) -> ClosureBasis:
+    """The closure of the generators, or the given ClosureBasis itself."""
+    if not isinstance(generators, ClosureBasis):
+        return bruteforce_ideal(shape, generators)
+    if generators.shape != shape:
+        raise ValueError("closure does not match the ring shape")
+    return generators
+
+
 def _span_equal(a: ClosureBasis, b: ClosureBasis):
     """(equal?, offending vector) for two closure spans."""
     if a.dimension != b.dimension:
@@ -244,11 +253,11 @@ def verify_generator_set(gs, generators) -> Report:
     the two spans, the triangular layout, divisibility of every layer
     generator into x^s - 1, divisibility of every coordinate by the base
     layer generator (with the stored quotient table), and the canonical
-    degree bounds.
+    degree bounds.  ``generators`` may be their ClosureBasis instead.
     """
     shape = gs.shape
     s = shape.s
-    ideal = bruteforce_ideal(shape, generators)
+    ideal = _ideal_of(shape, generators)
     checks = []
 
     gens = np.stack([p.to_vector(CODEWORD) for p in gs.gens])
@@ -332,9 +341,10 @@ def verify_generator_set(gs, generators) -> Report:
 
 def verify_matrix(gm, generators) -> Report:
     """Rank, row-space equality with the brute-force span, and per-row
-    membership for a generator matrix."""
+    membership for a generator matrix.  ``generators`` may be their
+    ClosureBasis instead."""
     shape = gm.shape
-    ideal = bruteforce_ideal(shape, generators)
+    ideal = _ideal_of(shape, generators)
     checks = []
 
     rows = _raw_vectors(shape.field, shape.n, gm.rows)

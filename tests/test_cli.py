@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from tdcyclic.cli import main
@@ -194,6 +197,23 @@ def test_bounds_exit_3(tmp_path, capsys):
     assert run(capsys, ["construct", "--input", write_problem(tmp_path, doc)])[0] == 3
     doc = {"field": {"p": 2}, "s": 512, "ell": 512}
     assert run(capsys, ["construct", "--input", write_problem(tmp_path, doc, "b.json")])[0] == 3
+
+
+def test_oversized_shift_matrix_exits_3_in_subprocess(tmp_path):
+    # 256 x 256 passes the cell bound, but its shift matrix would hold 2^32
+    # int64 entries: it must be refused before allocation, so a child process
+    # with a timeout turns a regression into a failure, not a swap storm
+    gen = [[0] * 256 for _ in range(256)]
+    gen[0][0] = 1
+    doc = {"field": {"p": 2}, "s": 256, "ell": 256, "generators": [gen]}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdcyclic.cli", "construct", "--input",
+         write_problem(tmp_path, doc)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exceeds the elimination budget" in proc.stderr
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdcyclic import (GF, BiPoly, CyclicPoly, NotMember, Poly, RingShape,
+from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, NotMember, Poly, RingShape,
                       bruteforce_ideal, canonical_form, decompose, dimension,
-                      extract_generators, layer_generator, span_basis,
-                      xs_minus_one)
-from conftest import random_generators
+                      extract_generators, gcd, generator_set_from_basis,
+                      layer_generator, reduced_span, span_basis, xs_minus_one)
+from conftest import random_generator_arrays, random_generators
 
 F2 = GF(2)
 
@@ -94,6 +97,71 @@ def test_layer_divides_xs_minus_one_random():
             if not L.is_zero:
                 assert L.cofactor * L.gen.lift() == xs_minus_one(sh.field, sh.s)
                 assert L.gen.lift().lc == 1
+
+
+def _vanishing_below(closure, j):
+    """Basis (codeword order) of the closure's vectors that vanish below
+    y^j, by the oracle's elimination with the columns of y^0 .. y^(j-1)
+    taken first."""
+    sh = closure.shape
+    low = np.arange(sh.n) % sh.ell < j
+    order = np.concatenate([np.flatnonzero(low), np.flatnonzero(~low)])
+    red = reduced_span(sh.field, sh.n, closure.vectors[:, order])
+    out = np.zeros_like(red)
+    out[:, order] = red
+    return out[~red[:, :int(low.sum())].any(axis=1)]
+
+
+@st.composite
+def _ideals(draw):
+    F = draw(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(2, 3), GF(3, 2)]))
+    s, ell = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.integers(0, F.q - 1)
+    arr = st.lists(st.lists(cell, min_size=ell, max_size=ell), min_size=s, max_size=s)
+    sh = RingShape(F, s, ell)
+    # a product of two arrays often gives a proper ideal with several layers
+    pairs = draw(st.lists(st.tuples(arr, st.none() | arr), max_size=3))
+    return sh, [BiPoly(sh, a) if b is None else BiPoly(sh, a) * BiPoly(sh, b)
+                for a, b in pairs]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_ideals())
+def test_layers_match_gcd_over_oracle_closure(problem):
+    """The layer generator is the monic gcd of x^s - 1 and the y^j
+    coordinates of every ideal element vanishing below j, and each
+    generating polynomial is reduced below every higher nonzero layer."""
+    sh, gens = problem
+    s, F = sh.s, sh.field
+    basis = span_basis(sh, gens)
+    closure = bruteforce_ideal(sh, gens)
+    gs = generator_set_from_basis(basis)
+    for j in range(sh.ell):
+        g = xs_minus_one(F, s)
+        for v in _vanishing_below(closure, j):
+            g = gcd(g, Poly(F, v.reshape(s, sh.ell)[:, j].tolist()))
+        L = layer_generator(basis, j)
+        if g == xs_minus_one(F, s):
+            assert L.is_zero and L.deg == s and gs.gens[j].is_zero
+            continue
+        assert L.gen.lift() == g and L.deg == g.degree
+        p = gs.gens[j]
+        assert closure.contains_elem(p)
+        assert all(p.coord(i).is_zero for i in range(j)) and p.coord(j) == L.gen
+        for i in range(j + 1, sh.ell):
+            if not gs.layers[i].is_zero:
+                lift = p.coord(i).lift()
+                assert lift.is_zero or lift.degree < gs.layers[i].deg
+
+
+def test_shift_matrix_over_budget_refused():
+    sh = RingShape(F2, 32, 32)
+    one = BiPoly.one(sh)
+    with pytest.raises(BoundsError, match="elimination budget"):
+        span_basis(sh, [one, one.shift_x(), one.shift_y()])
+    # zero generators add no rows
+    big = RingShape(F2, 256, 256)
+    assert span_basis(big, [BiPoly.zero(big)]).dimension == 0
 
 
 # -- extract_generators --------------------------------------------------------
@@ -308,3 +376,25 @@ def test_zero_layer_between_nonzero_layers():
     assert gs.gens[0] == g
     assert gs.gens[1].is_zero
     assert dimension(gs) == 1
+
+
+# -- pinned outputs over extension and odd prime fields --------------------------
+
+PINNED_FIELDS = ((5, 1), (2, 3), (3, 2), (2, 9), (3, 3))
+# sha256 of the serialized generating sets below, recorded with the engine
+# that built them by gcds over the layer lifts, an extended-gcd witness fold
+# and a Hermite reduction loop
+PINNED_SHA256 = "778eb42ba014937850b55750b2a6315f39a351eb86c6b126985419b0671126ff"
+
+
+def test_generating_sets_pinned_over_extension_fields():
+    digest = hashlib.sha256()
+    for i in range(300):
+        rng = random.Random(f"pin:{i}")
+        p, m = PINNED_FIELDS[i % len(PINNED_FIELDS)]
+        sh = RingShape(GF(p, m), rng.randint(1, 8), rng.randint(1, 8))
+        arrs = random_generator_arrays(rng, sh, 3) if rng.random() < 0.9 else []
+        gs = extract_generators(sh, [BiPoly(sh, a) for a in arrs])
+        digest.update(json.dumps(gs.to_json_dict(), sort_keys=True,
+                                 separators=(",", ":")).encode())
+    assert digest.hexdigest() == PINNED_SHA256

@@ -175,6 +175,45 @@ def test_counterexamples_pinned():
         ("triangular", [1, 0, 1, 0]), ("base-divisibility", [1, 1])]
 
 
+def test_closure_in_place_of_generators_gives_same_report():
+    rng = random.Random(73)
+    for t in range(30):
+        q = rng.choice([2, 3, 4])
+        F = GF(2, 2) if q == 4 else GF(q)
+        sh = RingShape(F, rng.randint(1, 4), rng.randint(1, 4))
+        gens = random_generators(rng, sh)
+        gs = extract_generators(sh, gens)
+        gm = generator_matrix(gs)
+        if t % 2:
+            # corrupt both: a random element for the top nonzero generator, and
+            # that element's vector for the last matrix row
+            stranger = BiPoly(sh, [[rng.randrange(q) for _ in range(sh.ell)]
+                                   for _ in range(sh.s)])
+            live = [j for j, p in enumerate(gs.gens) if not p.is_zero]
+            if live:
+                gens_bad = list(gs.gens)
+                gens_bad[live[-1]] = stranger
+                gs = dataclasses.replace(gs, gens=tuple(gens_bad))
+            if gm.k:
+                rows = gm.rows.copy()
+                rows[-1] = stranger.to_vector("codeword")
+                gm = dataclasses.replace(gm, rows=rows)
+        closure = bruteforce_ideal(sh, gens)
+        assert (verify_generator_set(gs, closure).to_json_dict()
+                == verify_generator_set(gs, gens).to_json_dict())
+        assert verify_matrix(gm, closure).to_json_dict() == verify_matrix(gm, gens).to_json_dict()
+
+
+def test_closure_of_another_shape_is_refused():
+    sh, gens = fixture_problem()
+    gs = extract_generators(sh, gens)
+    other = bruteforce_ideal(RingShape(GF(2), 2, 3), [])
+    with pytest.raises(ValueError, match="closure does not match"):
+        verify_generator_set(gs, other)
+    with pytest.raises(ValueError, match="closure does not match"):
+        verify_matrix(generator_matrix(gs), other)
+
+
 def test_raw_vectors_canonicalized_in_subprocess():
     # over GF(4) an entry -1 once left the elimination spinning forever, so
     # run it where a hang fails the test instead of the whole suite
