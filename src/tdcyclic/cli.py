@@ -46,10 +46,13 @@ def _is_int(v) -> bool:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ProblemFormatError(f"cannot read {path!r}: {e}")
 
 
 def _parse_array(field: Field, s: int, ell: int, arr, label: str):
@@ -112,8 +115,11 @@ def load_problem(text: str) -> Problem:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ProblemFormatError(f"cannot write {out_path!r}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -342,9 +348,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ProblemFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BoundsError as e:

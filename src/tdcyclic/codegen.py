@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .ideal import GeneratorSet, _rref
-from .ring2d import RingShape
+from .ring2d import RingShape, shift_source
 
 DEFAULT_CAP = 1 << 20
 _TABLE_ELEMS = 1 << 19
@@ -76,9 +76,8 @@ def generator_matrix(gs: GeneratorSet) -> GeneratorMatrix:
                    for a in range(s - L.deg))
     layer, shift = np.array(labels, dtype=np.intp).reshape(-1, 2).T
     arrs = np.stack([g.arr for g in gs.gens])
-    # row (j, a) is x^a * gens[j]: array row i comes from row (i - a) % s
-    src_i = (np.arange(s)[None, :] - shift[:, None]) % s
-    mat = arrs[layer[:, None], src_i].reshape(-1, shape.n)
+    # row (j, a) is x^a * gens[j]
+    mat = arrs[layer[:, None], shift_source(s, shift)].reshape(-1, shape.n)
     mat.setflags(write=False)
     return GeneratorMatrix(shape, mat, labels)
 

@@ -155,14 +155,16 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_exp_np", "_log_np")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not _is_prime(p):
+        if p < 2:
             raise ValueError(f"characteristic must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        q = p**m
-        if q > MAX_FIELD_SIZE:
-            raise BoundsError(f"field size {q} exceeds desk-scale limit {MAX_FIELD_SIZE}")
-        self.p, self.m, self.q = p, m, q
+        # p^m >= 2^m: a huge p or m is refused before testing p or computing p^m
+        if p > MAX_FIELD_SIZE or m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE:
+            raise BoundsError(f"field size {p}^{m} exceeds desk-scale limit {MAX_FIELD_SIZE}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
+        self.p, self.m, self.q = p, m, p**m
         self._exp = self._log = self._exp_np = self._log_np = None
 
         if m == 1:

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
 from .polyring import CyclicPoly, Poly, cofactor
-from .ring2d import INTERNAL, BiPoly, RingShape
+from .ring2d import INTERNAL, BiPoly, RingShape, shift_source
 
 # entries of the (nonzero generators * n) x n shift matrix span_basis
 # eliminates; 2^21 is two generators at 32 x 32
@@ -90,11 +90,10 @@ def _monomial_shift_rows(shape: RingShape, generators) -> np.ndarray:
             f"columns exceeds the elimination budget of {MAX_SHIFT_MATRIX_ELEMS} entries")
     if not arrs:
         return np.zeros((0, shape.n), dtype=np.int64)
-    xs, ys = np.arange(shape.s), np.arange(shape.ell)
-    # cell (i, j) of x^a y^b g is g[(i - a) % s, (j - b) % ell]; index axes
-    # (a, b, j, t) put it in row a*ell + b at index j*s + t, where i = s-1-t
-    src_i = ((xs[::-1][None, :] - xs[:, None]) % shape.s)[:, None, None, :]
-    src_j = ((ys[None, :] - ys[:, None]) % shape.ell)[None, :, :, None]
+    # index axes (a, b, j, t) put cell (i, j) of x^a y^b g in row a*ell + b
+    # at index j*s + t, where i = s-1-t
+    src_i = shift_source(shape.s, np.arange(shape.s))[:, ::-1][:, None, None, :]
+    src_j = shift_source(shape.ell, np.arange(shape.ell))[None, :, :, None]
     return np.stack(arrs)[:, src_i, src_j].reshape(-1, shape.n)
 
 

@@ -290,18 +290,7 @@ class CyclicPoly:
         if not isinstance(other, CyclicPoly):
             return NotImplemented
         self._check_compatible(other)
-        f, s = self.field, self.s
-        out = [0] * s
-        fadd, fmul = f.add, f.mul
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    if bj:
-                        k = i + j
-                        if k >= s:
-                            k -= s
-                        out[k] = fadd(out[k], fmul(ai, bj))
-        return CyclicPoly(f, out)
+        return CyclicPoly.from_poly(self.lift() * other.lift(), self.s)
 
     def scale(self, c: int) -> "CyclicPoly":
         f = self.field

@@ -6,6 +6,17 @@ multiplying by x cyclically shifts rows down, multiplying by y shifts
 columns right.  Column j read as a vector is the coefficient of y^j, the
 unique expansion of the element over the cyclic ring in x.
 
+A product a * b is the sum of c * x^i y^j * b over the nonzero cells
+c = a[i, j] of the sparser factor a, a ``CyclicPoly`` factor being the
+element whose y^0 coefficient it is.  Each term is a monomial shift of
+b, gathered through ``shift_source``, and the terms are summed by one
+``Field.dot`` of the coefficients against the gathered shifts.  The
+gather runs in chunks of at most ``_GATHER_ELEMS`` = 2^19 entries (4 MB
+of int64), so a product's working set is a few chunk-sized arrays
+whatever the ring's size: about 2 over a prime field, up to 4 over an
+extension of odd characteristic, whose ``dot`` works one base-p digit
+at a time.
+
 Two flattening orders exist and must never be conflated:
 
 * ``INTERNAL`` puts array cell (i, j) at index j*s + i (column-major,
@@ -30,6 +41,13 @@ INTERNAL = "internal"
 CODEWORD = "codeword"
 
 MAX_ARRAY_CELLS = 1 << 16
+_GATHER_ELEMS = 1 << 19  # entries of the monomial shifts one product step gathers
+
+
+def shift_source(size: int, shifts) -> np.ndarray:
+    """Cyclic shift gather along one axis: entry c shifted by shifts[k]
+    comes from entry [k, c], so x^a y^b g at (i, j) is g[(i - a) % s, (j - b) % ell]."""
+    return (np.arange(size)[None, :] - np.asarray(shifts)[:, None]) % size
 
 
 @dataclass(frozen=True)
@@ -169,29 +187,33 @@ class BiPoly:
 
     def __mul__(self, other):
         """Ring product; the right factor may be a BiPoly, a CyclicPoly
-        (acting coordinatewise in x), or an int (field scalar)."""
+        (the element whose y^0 coefficient it is), or an int (field scalar)."""
         if isinstance(other, int):
             return self.scale(other)
+        shape = self.shape
         if isinstance(other, CyclicPoly):
-            if other.field != self.shape.field or other.s != self.shape.s:
+            if other.field != shape.field or other.s != shape.s:
                 raise ValueError("cyclic factor does not match the ring shape")
-            cs = [self.coord(j) * other for j in range(self.shape.ell)]
-            return BiPoly.from_coords(self.shape, cs)
-        if isinstance(other, BiPoly):
+            col = np.zeros((shape.s, shape.ell), dtype=np.int64)
+            col[:, 0] = other.coeffs
+            other = BiPoly._wrap(shape, col)
+        elif isinstance(other, BiPoly):
             self._check_shape(other)
-            ell = self.shape.ell
-            out = [CyclicPoly.zero(self.shape.field, self.shape.s) for _ in range(ell)]
-            a, b = self.coords(), other.coords()
-            for i in range(ell):
-                if a[i].is_zero:
-                    continue
-                for j in range(ell):
-                    if b[j].is_zero:
-                        continue
-                    k = (i + j) % ell
-                    out[k] = out[k] + a[i] * b[j]
-            return BiPoly.from_coords(self.shape, out)
-        return NotImplemented
+        else:
+            return NotImplemented
+        # the sum of c * x^i y^j * b over the cells c = a[i, j] != 0 of the sparser factor
+        a, b = self.arr, other.arr
+        if np.count_nonzero(b) < np.count_nonzero(a):
+            a, b = b, a
+        i, j = np.nonzero(a)
+        fld, step = shape.field, max(1, _GATHER_ELEMS // shape.n)
+        out = np.zeros(shape.n, dtype=np.int64)
+        for t in range(0, i.size, step):
+            it, jt = i[t:t + step], j[t:t + step]
+            src_i, src_j = shift_source(shape.s, it), shift_source(shape.ell, jt)
+            rows = b[src_i[:, :, None], src_j[:, None, :]].reshape(-1, shape.n)
+            out = fld.add_arrays(out, fld.dot(a[it, jt], rows))
+        return BiPoly._wrap(shape, out.reshape(shape.s, shape.ell))
 
     __rmul__ = __mul__
 

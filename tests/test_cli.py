@@ -1,9 +1,13 @@
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tdcyclic.cli import main
 
@@ -216,6 +220,39 @@ def test_oversized_shift_matrix_exits_3_in_subprocess(tmp_path):
     assert "exceeds the elimination budget" in proc.stderr
 
 
+def test_oversized_fields_exit_3_in_subprocess(tmp_path):
+    # a huge prime p or a huge m is refused from p and m alone: testing p
+    # for primality or computing p^m first would not finish
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for i, field in enumerate([{"p": 2305843009213693951}, {"p": 3, "m": 100000000}]):
+        doc = {"field": field, "s": 2, "ell": 2, "generators": [[[1, 0], [1, 0]]]}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdcyclic.cli", "construct", "--input",
+             write_problem(tmp_path, doc, f"field{i}.json")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3, field
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "exceeds desk-scale limit" in proc.stderr
+
+
+def test_file_errors_exit_2(tmp_path, capsys):
+    path = write_problem(tmp_path, FIXTURE)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(json.dumps(FIXTURE).encode() + b"\xff\xfe")
+    cases = [
+        (["construct", "--input", str(folder)], folder),
+        (["construct", "--input", str(latin)], latin),
+        (["member", "--input", path, "--element", str(folder)], folder),
+        (["construct", "--input", path, "--output", str(folder)], folder),
+    ]
+    for argv, named in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and str(named) in err, err
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FIXTURE)))
     code, out, _ = run(capsys, ["params", "--input", "-"])
@@ -248,3 +285,61 @@ def test_options_from_problem_file(tmp_path, capsys):
     # explicit flag wins over the file option
     code, out, _ = run(capsys, ["matrix", "--input", path, "--format", "csv"])
     assert out == "1,0,1,0\n0,1,0,1\n"
+
+
+# values that are of the wrong JSON type, out of range, or huge
+_ODD_VALUES = [None, True, False, "2", 2.5, [], {}, [1], -1, 0, 1, 2, 3, 4, 16, 17,
+               1 << 16, (1 << 16) + 1, 1 << 31, 1 << 63, 10**30, 2305843009213693951]
+_MUTATION_PATHS = [
+    ("field",), ("field", "p"), ("field", "m"), ("field", "modulus"), ("s",), ("ell",),
+    ("generators",), ("generators", 0), ("generators", 0, 0), ("generators", 0, 1, 0),
+    ("options",), ("options", "cap"), ("options", "format"), ("options", "with_distance"),
+    ("options", "trace"), ("options", "seed"), ("options", "count"), ("options", "mode"),
+]
+_COMMANDS = [["construct"], ["matrix"], ["params"], ["params", "--with-distance"],
+             ["member", "--element", "[[1, 1], [1, 1]]"], ["verify"], ["enumerate"]]
+
+
+def _set_path(doc, path, value):
+    """Put value at path in doc, making missing objects on the way; returns
+    False if a step of the path is no longer an object or a list."""
+    for key in path[:-1]:
+        if isinstance(doc, dict):
+            doc = doc.setdefault(key, {})
+        elif isinstance(doc, list) and isinstance(key, int) and key < len(doc):
+            doc = doc[key]
+        else:
+            return False
+    if isinstance(doc, dict):
+        doc[path[-1]] = value
+        return True
+    if isinstance(doc, list) and isinstance(path[-1], int) and path[-1] < len(doc):
+        doc[path[-1]] = value
+        return True
+    return False
+
+
+@st.composite
+def _mutated_problems(draw):
+    doc = copy.deepcopy(dict(FIXTURE, options={"format": "json", "cap": 1 << 20}))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_MUTATION_PATHS))
+        value = draw(st.one_of(
+            st.sampled_from(_ODD_VALUES),
+            st.lists(st.sampled_from(_ODD_VALUES), max_size=4)))
+        _set_path(doc, path, value)
+    return doc, draw(st.sampled_from(_COMMANDS))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_problems())
+def test_mutated_problem_documents_exit_cleanly(tmp_path, capsys, case):
+    """Wrong JSON types and out-of-range or huge integers anywhere in a
+    problem end in a result or a diagnosed refusal, never a traceback.
+    Random enumeration is left out: its count has no upper bound."""
+    doc, argv = case
+    path = write_problem(tmp_path, doc)
+    code, _, err = run(capsys, argv + ["--input", path])
+    assert code in (0, 2, 3, 4), (doc, argv)
+    assert code == 0 or err.startswith("error:"), err

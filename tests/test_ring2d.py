@@ -1,10 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdcyclic import CODEWORD, GF, INTERNAL, BiPoly, BoundsError, CyclicPoly, RingShape
+from tdcyclic import CODEWORD, GF, INTERNAL, BiPoly, BoundsError, CyclicPoly, RingShape, ring2d
 
 
 def shape22():
@@ -136,3 +145,108 @@ def test_shape_bounds():
         RingShape(GF(2), 1 << 9, 1 << 9)
     with pytest.raises(ValueError):
         RingShape(GF(2), 0, 3)
+
+
+PRODUCT_FIELDS = [GF(2), GF(3), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 9)]
+
+
+def schoolbook(a: BiPoly, b: BiPoly) -> list[list[int]]:
+    """Reference ring product by scalar field ops: a[i1][j1] * b[i2][j2]
+    lands in cell ((i1 + i2) % s, (j1 + j2) % ell)."""
+    f, s, ell = a.shape.field, a.shape.s, a.shape.ell
+    A, B = a.arr.tolist(), b.arr.tolist()
+    out = [[0] * ell for _ in range(s)]
+    for i1, j1, i2, j2 in itertools.product(range(s), range(ell), range(s), range(ell)):
+        i, j = (i1 + i2) % s, (j1 + j2) % ell
+        out[i][j] = f.add(out[i][j], f.mul(A[i1][j1], B[i2][j2]))
+    return out
+
+
+@st.composite
+def _product_cases(draw):
+    fld = draw(st.sampled_from(PRODUCT_FIELDS))
+    s, ell = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    sh = RingShape(fld, s, ell)
+
+    def entries(count):
+        density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = random.Random(seed)
+        return [rng.randrange(fld.q) if rng.random() < density else 0 for _ in range(count)]
+
+    a = BiPoly(sh, np.reshape(entries(s * ell), (s, ell)))
+    b = BiPoly(sh, np.reshape(entries(s * ell), (s, ell)))
+    c = CyclicPoly(fld, entries(s))
+    n = s * ell
+    chunk = draw(st.sampled_from([1, n - 1, n + 1, 2 * n + 1, ring2d._GATHER_ELEMS]))
+    return a, b, c, chunk
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_product_cases())
+def test_product_matches_schoolbook(case):
+    """BiPoly * BiPoly and BiPoly * CyclicPoly agree with a scalar
+    schoolbook convolution, whatever the gather chunk size."""
+    a, b, c, chunk = case
+    sh = a.shape
+    col = np.zeros((sh.s, sh.ell), dtype=np.int64)
+    col[:, 0] = c.coeffs
+    with mock.patch.object(ring2d, "_GATHER_ELEMS", chunk):
+        assert (a * b).arr.tolist() == schoolbook(a, b)
+        assert (b * a).arr.tolist() == schoolbook(a, b)
+        assert (a * c).arr.tolist() == schoolbook(a, BiPoly(sh, col))
+        assert c * a == a * c
+
+
+def test_product_rejects_mismatched_factors():
+    sh = RingShape(GF(2), 3, 2)
+    a = BiPoly.one(sh)
+    with pytest.raises(ValueError):
+        a * CyclicPoly(GF(2), [1, 0])
+    with pytest.raises(ValueError):
+        a * CyclicPoly(GF(3), [1, 0, 0])
+    with pytest.raises(ValueError):
+        a * BiPoly.one(RingShape(GF(2), 2, 3))
+    with pytest.raises(TypeError):
+        a * 1.5
+    assert a * 3 == a and 2 * a == BiPoly.zero(sh)
+
+
+def test_product_memory_bounded_by_gather_chunk():
+    # a dense 64 x 64 product sums 2^11 monomial shifts of 2^12 cells; one
+    # gather of them all is 2^23 int64 entries (64 MB), while the chunked
+    # gather holds at most _GATHER_ELEMS of them (4 MB) at a time
+    sh = RingShape(GF(2), 64, 64)
+    rng = np.random.default_rng(5)
+    a, b = (BiPoly(sh, rng.integers(0, 2, (64, 64))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * ring2d._GATHER_ELEMS
+
+
+def test_product_at_256_by_256_finishes_in_subprocess():
+    # a child process with a timeout turns a return of the quadratic
+    # per-coordinate loop into a failure rather than a hang
+    script = textwrap.dedent("""
+        import numpy as np
+        from tdcyclic import GF, BiPoly, CyclicPoly, RingShape
+        sh = RingShape(GF(2), 256, 256)
+        rng = np.random.default_rng(7)
+        a = BiPoly(sh, rng.integers(0, 2, (256, 256)))
+        c = CyclicPoly(sh.field, rng.integers(0, 2, 256).tolist())
+        prod = a * c
+        assert all(prod.coord(j) == a.coord(j) * c for j in (0, 101, 255))
+        mono = np.zeros((256, 256), dtype=np.int64)
+        mono[3, 5] = 1
+        assert a * BiPoly(sh, mono) == a.shift_x(3).shift_y(5)
+        print("ok")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
