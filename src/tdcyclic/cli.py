@@ -21,11 +21,14 @@ import json
 import random
 import sys
 
+import numpy as np
+
 from . import codegen, ideal, oracle
 from .errors import BoundsError, NotMember, TooLargeError
 from .gf import Field, field_from_descriptor
 from .ring2d import BiPoly, RingShape
 
+# candidates enumerate may try: q^(s*ell) in exhaustive mode, count in random mode
 MAX_EXHAUSTIVE_CANDIDATES = 1 << 16
 
 
@@ -234,19 +237,6 @@ def cmd_verify(args) -> int:
     return 0 if rep_gs.passed and rep_gm.passed else 5
 
 
-def _candidate_array(shape: RingShape, index: int):
-    q = shape.field.q
-    arr = []
-    t = index
-    for _ in range(shape.s):
-        row = []
-        for _ in range(shape.ell):
-            row.append(t % q)
-            t //= q
-        arr.append(row)
-    return arr
-
-
 def cmd_enumerate(args) -> int:
     prob = load_problem(_read_text(args.input))
     shape = prob.shape
@@ -262,8 +252,13 @@ def cmd_enumerate(args) -> int:
             raise TooLargeError(
                 f"q^(s*ell) = {total} candidates exceeds exhaustive bound "
                 f"{MAX_EXHAUSTIVE_CANDIDATES}")
-        candidates = (_candidate_array(shape, i) for i in range(total))
+        # candidate t holds the base-q digit k of t at cell (k // ell, k % ell)
+        digits = np.arange(total)[:, None] // q ** np.arange(shape.n) % q
+        candidates = digits.reshape(total, shape.s, shape.ell)
     elif mode == "random":
+        if count > MAX_EXHAUSTIVE_CANDIDATES:
+            raise TooLargeError(
+                f"count {count} exceeds the candidate bound {MAX_EXHAUSTIVE_CANDIDATES}")
         rng = random.Random(seed)
         candidates = ([[rng.randrange(q) for _ in range(shape.ell)]
                        for _ in range(shape.s)] for _ in range(count))

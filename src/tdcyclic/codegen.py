@@ -101,13 +101,10 @@ def _information_sets(fld, rows: np.ndarray) -> list[tuple[np.ndarray, int]]:
     used = np.zeros(rows.shape[1], dtype=bool)
     out = []
     while True:
-        order = np.argsort(used, kind="stable")  # unused columns first
-        mat, pivots = _rref(rows[:, order], fld)
-        new = [int(order[c]) for c in pivots if not used[order[c]]]
+        gamma, pivots = _rref(rows, fld, np.argsort(used, kind="stable"))  # unused first
+        new = [c for c in pivots if not used[c]]
         if not new:
             return out
-        gamma = np.empty_like(mat)
-        gamma[:, order] = mat
         out.append((gamma, len(new)))
         used[new] = True
 

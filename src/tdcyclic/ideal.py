@@ -14,17 +14,18 @@ the y-direction:
   generator.
 
 All layer data is read off one reduced row-echelon basis of the ideal as
-an F-vector space.  The elimination orders the columns by y-block
-ascending and, within a block, by x-degree descending, so a row's pivot
-is the leading term of its lowest nonzero coordinate.  The pivots of
-block j then sit at exactly the degrees deg(g_j) .. s-1 of the layer
-generator g_j, and the row with the lowest of them is the layer's
-generating polynomial: it vanishes below j, its y^j coordinate is the
-monic element of least degree in the coefficient ideal, i.e. g_j, and
-reduction against the pivots of every higher block i leaves its y^i
-coordinate below deg(g_i).  The telescoping peel-off recursion appears
-in ``decompose``, which rewrites a member as a combination of the
-layers' generating polynomials (and detects non-members).
+an F-vector space, kept as one matrix.  ``_rref`` takes its pivot order
+as an argument: by y-block ascending and, within a block, by x-degree
+descending, so a row's pivot is the leading term of its lowest nonzero
+coordinate.  The pivots of block j then sit at exactly the degrees
+deg(g_j) .. s-1 of the layer generator g_j, and the row with the lowest
+of them is the layer's generating polynomial: it vanishes below j, its
+y^j coordinate is the monic element of least degree in the coefficient
+ideal, i.e. g_j, and reduction against the pivots of every higher block
+i leaves its y^i coordinate below deg(g_i).  The telescoping peel-off
+recursion appears in ``decompose``, which rewrites a member as a
+combination of the layers' generating polynomials (and detects
+non-members).
 """
 
 from __future__ import annotations
@@ -35,23 +36,27 @@ import numpy as np
 
 from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
-from .polyring import CyclicPoly, Poly, cofactor
+from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
 from .ring2d import INTERNAL, BiPoly, RingShape, shift_source
 
 # entries of the (nonzero generators * n) x n shift matrix span_basis
-# eliminates; 2^21 is two generators at 32 x 32
+# eliminates, and rows * columns * rank bounding the elimination's work;
+# both are exactly two generators at 32 x 32
 MAX_SHIFT_MATRIX_ELEMS = 1 << 21
+MAX_ELIMINATION_WORK = 1 << 31
 
 
 # -- exact linear algebra over the field (engine side) ----------------------
 
-def _rref(mat: np.ndarray, fld) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def _rref(mat: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form with pivots sought in the column order
+    ``cols``; returns (nonzero rows in the columns of mat, pivot columns
+    in the order they were found)."""
     a = np.array(mat, dtype=np.int64)
-    nrows, ncols = a.shape
+    nrows = len(a)
     r = 0
     pivots = []
-    for c in range(ncols):
+    for c in cols:
         if r == nrows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -68,56 +73,62 @@ def _rref(mat: np.ndarray, fld) -> tuple[np.ndarray, tuple[int, ...]]:
         if others.size:
             factors = a[others, c]
             a[others] = fld.sub_arrays(a[others], fld.mul_arrays(factors[:, None], a[r][None, :]))
-        pivots.append(c)
+        pivots.append(int(c))
         r += 1
     return a[:r], tuple(pivots)
 
 
 def _monomial_shift_rows(shape: RingShape, generators) -> np.ndarray:
-    """Vectorizations of x^a y^b g for all shifts and g, ordered by g,
-    then a, then b, in one gather, over the elimination order: cell
-    (i, j) at index j*s + s-1-i.  Refuses a matrix over the budget before
-    allocating it."""
+    """INTERNAL vectorizations of x^a y^b g for all shifts and g, ordered
+    by g, then a, then b, in one gather.  Refuses a matrix over the
+    budget, or an elimination over the work budget, before allocating."""
     arrs = []
     for g in generators:
         if g.shape != shape:
             raise ValueError("generator does not match the ring shape")
         if not g.is_zero:
             arrs.append(g.arr)
-    if len(arrs) * shape.n * shape.n > MAX_SHIFT_MATRIX_ELEMS:
+    n = shape.n
+    if len(arrs) * n * n > MAX_SHIFT_MATRIX_ELEMS:
         raise BoundsError(
-            f"shift matrix of {len(arrs)} generator(s) * {shape.n} rows by {shape.n} "
+            f"shift matrix of {len(arrs)} generator(s) * {n} rows by {n} "
             f"columns exceeds the elimination budget of {MAX_SHIFT_MATRIX_ELEMS} entries")
+    if len(arrs) * n * n * n > MAX_ELIMINATION_WORK:
+        raise BoundsError(
+            f"elimination of {len(arrs)} generator(s) * {n} rows by {n} columns "
+            f"exceeds the elimination budget of {MAX_ELIMINATION_WORK} rows * columns * rank")
     if not arrs:
-        return np.zeros((0, shape.n), dtype=np.int64)
-    # index axes (a, b, j, t) put cell (i, j) of x^a y^b g in row a*ell + b
-    # at index j*s + t, where i = s-1-t
-    src_i = shift_source(shape.s, np.arange(shape.s))[:, ::-1][:, None, None, :]
+        return np.zeros((0, n), dtype=np.int64)
+    # index axes (a, b, j, i) put cell (i, j) of x^a y^b g in row a*ell + b at index j*s + i
+    src_i = shift_source(shape.s, np.arange(shape.s))[:, None, None, :]
     src_j = shift_source(shape.ell, np.arange(shape.ell))[None, :, :, None]
-    return np.stack(arrs)[:, src_i, src_j].reshape(-1, shape.n)
+    return np.stack(arrs)[:, src_i, src_j].reshape(-1, n)
 
 
 # -- types -------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class EchelonBasis:
-    """Reduced row-echelon F-basis of an ideal, over the internal order.
+    """Reduced row-echelon F-basis of an ideal: one matrix whose rows are
+    INTERNAL vectorizations.
 
-    The elimination ran with y-blocks ascending and x-degrees descending
-    within each block, and ``pivots`` lists each row's pivot as an
-    internal index in that order: blocks ascending, degrees descending
+    ``pivots`` lists each row's pivot as an internal index, in the order
+    the elimination found them: y-blocks ascending, x-degrees descending
     within a block.  Pivot entries are 1 and every other row is 0 in a
     pivot's column; the span is closed under both shifts by construction.
     """
 
     shape: RingShape
-    rows: tuple[BiPoly, ...]
     matrix: np.ndarray
     pivots: tuple[int, ...]
 
     @property
+    def rows(self) -> tuple[BiPoly, ...]:
+        return tuple(BiPoly.from_vector(self.shape, r, INTERNAL) for r in self.matrix)
+
+    @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self.matrix)
 
     def residual(self, e: BiPoly) -> BiPoly:
         """Remainder of e after elimination against the basis."""
@@ -194,18 +205,14 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
     """Echelon F-basis of the ideal generated by the given elements.
 
     The F-span of all monomial shifts of the generators equals the ideal,
-    so one Gaussian elimination suffices; it runs over the elimination
-    order and the result is mapped back to the internal flattening.
-    Zero generators are ignored; an empty list gives the zero ideal.
+    so one Gaussian elimination suffices, with pivots sought by y-block
+    ascending and x-degree descending.  Zero generators are ignored; an
+    empty list gives the zero ideal.
     """
-    s = shape.s
-    mat, pivots = _rref(_monomial_shift_rows(shape, generators), shape.field)
-    # reversing the x-degrees within each block maps index j*s + t to j*s + s-1-t
-    mat = mat.reshape(len(mat), shape.ell, s)[:, :, ::-1].reshape(len(mat), shape.n)
+    cols = np.arange(shape.n).reshape(shape.ell, shape.s)[:, ::-1].ravel()
+    mat, pivots = _rref(_monomial_shift_rows(shape, generators), shape.field, cols)
     mat.setflags(write=False)
-    pivots = tuple(p + s - 1 - 2 * (p % s) for p in pivots)
-    rows = tuple(BiPoly.from_vector(shape, r, INTERNAL) for r in mat)
-    return EchelonBasis(shape, rows, mat, pivots)
+    return EchelonBasis(shape, mat, pivots)
 
 
 def _layer_row(basis: EchelonBasis, j: int) -> int | None:
@@ -231,7 +238,7 @@ def layer_generator(basis: EchelonBasis, j: int) -> LayerInfo:
     r = _layer_row(basis, j)
     if r is None:
         return LayerInfo(j, CyclicPoly.zero(fld, s), s, Poly.one(fld))
-    gen = basis.rows[r].coord(j)
+    gen = CyclicPoly(fld, basis.matrix[r, j * s:(j + 1) * s].tolist())
     return LayerInfo(j, gen, basis.pivots[r] % s, cofactor(gen.lift(), s))
 
 
@@ -243,7 +250,8 @@ def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
     ell = shape.ell
     layers = tuple(layer_generator(basis, j) for j in range(ell))
     rows = (_layer_row(basis, j) for j in range(ell))
-    gens = [BiPoly.zero(shape) if r is None else basis.rows[r] for r in rows]
+    gens = [BiPoly.zero(shape) if r is None
+            else BiPoly.from_vector(shape, basis.matrix[r], INTERNAL) for r in rows]
 
     base = layers[0].gen.lift() if not layers[0].is_zero else None
     quotients = []
@@ -278,30 +286,24 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
     """Peel f layer by layer into f = sum gens[j] * q_j.
 
     At layer k the y^k coordinate of the running remainder must be a
-    multiple of the layer generator (zero, for a zero layer); otherwise f
-    is not in the ideal and NotMember(k) is raised.
+    multiple of the layer generator; otherwise f is not in the ideal and
+    NotMember(k) is raised.  A zero layer divides as x^s - 1 (degree s,
+    cofactor 1), which leaves any nonzero coordinate as the remainder.
     """
     shape = gs.shape
     if f.shape != shape:
         raise ValueError("element does not match the ring shape")
-    s, ell, fld = shape.s, shape.ell, shape.field
+    s, ell = shape.s, shape.ell
     h = f
     coeffs = []
     trace = []
     for k in range(ell):
-        ck = h.coord(k)
-        layer = gs.layers[k]
-        if layer.is_zero:
-            if not ck.is_zero:
-                raise NotMember(k)
-            qk = CyclicPoly.zero(fld, s)
-        else:
-            q, r = divmod(ck.lift(), layer.gen.lift())
-            if r:
-                raise NotMember(k)
-            qk = CyclicPoly.from_poly(q, s)
-            if qk:
-                h = h - gs.gens[k] * qk
+        q, r = divmod(h.coord(k).lift(), gs.layers[k].gen.lift() or xs_minus_one(shape.field, s))
+        if r:
+            raise NotMember(k)
+        qk = CyclicPoly.from_poly(q, s)
+        if qk:
+            h = h - gs.gens[k] * qk
         coeffs.append(qk)
         if want_trace and k < ell - 1:
             trace.append(h)

@@ -21,8 +21,7 @@ Two flattening orders exist and must never be conflated:
 
 * ``INTERNAL`` puts array cell (i, j) at index j*s + i (column-major,
   grouping by y-block); the ideal machinery stores its echelon bases in
-  this order, though it eliminates with the x-degrees reversed within
-  each block (see ``ideal``).
+  this order.
 * ``CODEWORD`` puts cell (i, j) at index i*ell + j (row-major array);
   this is the emitted codeword/matrix layout.
 """

@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -127,6 +129,21 @@ def test_enumerate_exhaustive(tmp_path, capsys):
     assert out2 == out
 
 
+def test_enumerate_exhaustive_csv_pinned(tmp_path, capsys):
+    # sha256 of the CSV as a per-cell loop over the base-q digits of each
+    # candidate index wrote it: the candidate order fixes the row order
+    pinned = {
+        (2, 1, 2, 3): "8df795997020ae63f8fd29012363613cd142c3cd4bd35ff76c9f7f8d027ca6b3",
+        (3, 1, 1, 3): "5696f8ad657ed0318e3cb50755d6c06876e0d86aaca2a866b78384361d751fc4",
+        (2, 2, 1, 2): "b9cb495239befc86afd54cf0e9307256b45aabdf3ef82f8f92d3b4b1df532eb5",
+        (5, 1, 2, 1): "18acdac9bee0033b91313259547d834be7f088c170e71330fa034c3c50aeec24",
+    }
+    for (p, m, s, ell), digest in pinned.items():
+        doc = {"field": {"p": p, "m": m}, "s": s, "ell": ell}
+        code, out, _ = run(capsys, ["enumerate", "--input", write_problem(tmp_path, doc)])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, (p, m, s, ell)
+
+
 def test_enumerate_random_seeded(tmp_path, capsys):
     path = write_problem(tmp_path, FIXTURE)
     args = ["enumerate", "--input", path, "--mode", "random", "--count", "20", "--seed", "7"]
@@ -144,6 +161,34 @@ def test_enumerate_exhaustive_over_bound(tmp_path, capsys):
     code, _, err = run(capsys, ["enumerate", "--input", write_problem(tmp_path, doc),
                                 "--mode", "exhaustive"])
     assert code == 4
+
+
+def test_enumerate_random_count_over_bound_exits_4(tmp_path, capsys, monkeypatch):
+    def no_extraction(*args):
+        raise AssertionError("a candidate was extracted past the count bound")
+
+    monkeypatch.setattr("tdcyclic.ideal.extract_generators", no_extraction)
+    for count in ((1 << 16) + 1, 10**12):
+        in_file = dict(FIXTURE, options={"mode": "random", "count": count})
+        for argv in (["enumerate", "--input", write_problem(tmp_path, in_file)],
+                     ["enumerate", "--input", write_problem(tmp_path, FIXTURE, "f.json"),
+                      "--mode", "random", "--count", str(count)]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 4 and out == "", argv
+            assert err.startswith("error:") and str(count) in err, err
+
+
+def test_enumerate_cap_below_qk_leaves_d_empty(tmp_path, capsys):
+    path = write_problem(tmp_path, FIXTURE)
+    _, full, _ = run(capsys, ["enumerate", "--input", path])
+    code, capped, _ = run(capsys, ["enumerate", "--input", path, "--cap", "1"])
+    assert code == 0
+    rows = [line.split(",") for line in full.splitlines()[1:]]
+    # every nonzero code has q^k >= 2 > cap; the rest of each row is unchanged
+    assert any(r[2] for r in rows)
+    assert capped.splitlines()[1:] == [",".join(r[:2] + [""] + r[3:]) for r in rows]
 
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):
@@ -218,6 +263,21 @@ def test_oversized_shift_matrix_exits_3_in_subprocess(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "exceeds the elimination budget" in proc.stderr
+
+
+def test_elimination_over_work_budget_exits_3(tmp_path, capsys, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("the elimination ran past the preflight")
+
+    monkeypatch.setattr("tdcyclic.ideal._rref", no_elimination)
+    gen = [[0] * 38 for _ in range(38)]
+    gen[0][0] = 1
+    doc = {"field": {"p": 2}, "s": 38, "ell": 38, "generators": [gen]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["construct", "--input", write_problem(tmp_path, doc)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "exceeds the elimination budget" in err
 
 
 def test_oversized_fields_exit_3_in_subprocess(tmp_path):
@@ -297,7 +357,8 @@ _MUTATION_PATHS = [
     ("options", "trace"), ("options", "seed"), ("options", "count"), ("options", "mode"),
 ]
 _COMMANDS = [["construct"], ["matrix"], ["params"], ["params", "--with-distance"],
-             ["member", "--element", "[[1, 1], [1, 1]]"], ["verify"], ["enumerate"]]
+             ["member", "--element", "[[1, 1], [1, 1]]"], ["verify"], ["enumerate"],
+             ["enumerate", "--mode", "random", "--count", "3"]]
 
 
 def _set_path(doc, path, value):
@@ -337,7 +398,8 @@ def _mutated_problems(draw):
 def test_mutated_problem_documents_exit_cleanly(tmp_path, capsys, case):
     """Wrong JSON types and out-of-range or huge integers anywhere in a
     problem end in a result or a diagnosed refusal, never a traceback.
-    Random enumeration is left out: its count has no upper bound."""
+    Random enumeration takes its count from the command line: a file count
+    at the bound of 2^16 would run 2^16 extractions in one example."""
     doc, argv = case
     path = write_problem(tmp_path, doc)
     code, _, err = run(capsys, argv + ["--input", path])

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdcyclic import ideal
 from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, NotMember, Poly, RingShape,
                       bruteforce_ideal, canonical_form, decompose, dimension,
                       extract_generators, gcd, generator_set_from_basis,
@@ -162,6 +164,36 @@ def test_shift_matrix_over_budget_refused():
     # zero generators add no rows
     big = RingShape(F2, 256, 256)
     assert span_basis(big, [BiPoly.zero(big)]).dimension == 0
+
+
+def _no_elimination(*args):
+    raise AssertionError("the elimination ran past the preflight")
+
+
+def test_one_generator_over_work_budget_refused(monkeypatch):
+    # 38 x 38 fits the entry budget (1444^2 < 2^21) but not the work
+    # budget (1444^3 > 2^31): unchecked, its elimination takes about 40 s
+    monkeypatch.setattr(ideal, "_rref", _no_elimination)
+    sh = RingShape(F2, 38, 38)
+    start = time.perf_counter()
+    with pytest.raises(BoundsError, match="elimination budget"):
+        span_basis(sh, [BiPoly.one(sh)])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_two_generators_at_32_by_32_pass_preflight(monkeypatch):
+    # exactly at both budgets; the stub stands in for the 20 s elimination
+    seen = []
+
+    def stub(mat, fld, cols):
+        seen.append(mat.shape)
+        return np.zeros((0, mat.shape[1]), dtype=np.int64), ()
+
+    monkeypatch.setattr(ideal, "_rref", stub)
+    sh = RingShape(F2, 32, 32)
+    one = BiPoly.one(sh)
+    assert span_basis(sh, [one, one.shift_x()]).dimension == 0
+    assert seen == [(2048, 1024)]
 
 
 # -- extract_generators --------------------------------------------------------

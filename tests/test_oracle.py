@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcyclic import (GF, BiPoly, BoundsError, RingShape, TooLargeError,
+from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, Poly, RingShape, TooLargeError,
                       bruteforce_ideal, check_shift_closure, enumerate_span,
                       extract_generators, generator_matrix, reduced_span,
                       span_basis, verify_generator_set, verify_matrix)
@@ -173,6 +173,41 @@ def test_counterexamples_pinned():
     assert _failures(verify_generator_set(swapped, gens)) == [
         ("gens-in-ideal", [1, 0, 1, 0]), ("span-equality", [1, 0, 2, 0]),
         ("triangular", [1, 0, 1, 0]), ("base-divisibility", [1, 1])]
+
+
+def test_layer_checks_report_corrupted_layers():
+    """Each corruption of one layer of a correct GeneratorSet fails the
+    check that guards it, with that layer's datum as the counterexample."""
+    F = GF(2)
+    sh = RingShape(F, 4, 2)
+    gens = [BiPoly(sh, [[1, 0], [1, 1], [0, 1], [0, 0]]),  # 1 + x + (x + x^2) y
+            BiPoly(sh, [[1, 1]] * 4)]
+    gs = extract_generators(sh, gens)
+    # layer 0 is 1 + x, layer 1 is 1 + x + x^2 + x^3, gens[0] has x + x^2 at y^1
+    assert [(L.gen.coeffs, L.deg) for L in gs.layers] == [((1, 1, 0, 0), 1),
+                                                          ((1, 1, 1, 1), 3)]
+    assert verify_generator_set(gs, gens).passed
+    L0, L1 = gs.layers
+    zero = CyclicPoly.zero(F, 4)
+
+    def failing(name, layers=gs.layers, gs_gens=gs.gens):
+        rep = verify_generator_set(dataclasses.replace(gs, layers=layers, gens=gs_gens), gens)
+        return dict(_failures(rep)).get(name, "passed")
+
+    non_divisor = CyclicPoly(F, [1, 1, 1, 0])  # 1 + x + x^2 does not divide x^4 - 1
+    assert failing("layer-divides-xs-1",
+                   (dataclasses.replace(L0, gen=non_divisor), L1)) == [1, 1, 1, 0]
+    wrong_cof = Poly(F, [1, 1])
+    assert failing("layer-divides-xs-1",
+                   (dataclasses.replace(L0, cofactor=wrong_cof), L1)) == [1, 1]
+    assert failing("layer-divides-xs-1", (dataclasses.replace(L0, deg=2), L1)) == [2]
+    zero_deg_3 = dataclasses.replace(L1, gen=zero, cofactor=Poly.one(F))
+    assert failing("layer-divides-xs-1", (L0, zero_deg_3)) == [1]
+    empty_base = dataclasses.replace(L0, gen=zero, deg=4, cofactor=Poly.one(F))
+    assert failing("base-divisibility", (empty_base, L1)) == [
+        "layer 0 empty while the ideal is nonzero"]
+    high = BiPoly(sh, [[1, 0], [1, 1], [0, 1], [0, 1]])  # y^1 coordinate x + x^2 + x^3
+    assert failing("canonical-degrees", gs_gens=(high, gs.gens[1])) == [0, 1, 1, 1]
 
 
 def test_closure_in_place_of_generators_gives_same_report():
