@@ -58,6 +58,17 @@ def _read_text(path: str) -> str:
         raise ProblemFormatError(f"cannot read {path!r}: {e}")
 
 
+def _parse_json(text: str, label: str):
+    """json.loads; bad syntax, deep nesting or an over-long integer is a ProblemFormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ProblemFormatError(
+            f"{label}invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:
+        raise ProblemFormatError(f"{label}invalid JSON: {e}")
+
+
 def _parse_array(field: Field, s: int, ell: int, arr, label: str):
     if not isinstance(arr, list) or len(arr) != s:
         raise ProblemFormatError(f"{label}: expected {s} rows")
@@ -72,10 +83,7 @@ def _parse_array(field: Field, s: int, ell: int, arr, label: str):
 
 
 def load_problem(text: str) -> Problem:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProblemFormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    doc = _parse_json(text, "")
     if not isinstance(doc, dict):
         raise ProblemFormatError("top level must be a JSON object")
     for key in ("field", "s", "ell"):
@@ -194,10 +202,7 @@ def cmd_member(args) -> int:
         text = raw
     else:
         text = _read_text(raw)
-    try:
-        arr = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProblemFormatError(f"element: invalid JSON at line {e.lineno}: {e.msg}")
+    arr = _parse_json(text, "element: ")
     elem = BiPoly(prob.shape, _parse_array(
         prob.shape.field, prob.shape.s, prob.shape.ell, arr, "element"))
     want_trace = _opt(args.trace, prob.options, "trace", False)
@@ -268,12 +273,14 @@ def cmd_enumerate(args) -> int:
     lines = ["n,k,d,hash"]
     seen = set()
     for arr in candidates:
-        gs = ideal.extract_generators(shape, [BiPoly(shape, arr)])
-        key = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        if digest in seen:
+        basis = ideal.span_basis(shape, [BiPoly(shape, arr)])
+        key = basis.matrix.tobytes()  # the reduced echelon basis is unique for the span
+        if key in seen:
             continue
-        seen.add(digest)
+        seen.add(key)
+        gs = ideal.generator_set_from_basis(basis)
+        doc = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
         k = codegen.dimension(gs)
         if k == 0:
             d = ""

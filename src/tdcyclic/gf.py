@@ -26,9 +26,10 @@ odd p each base-p digit is summed and reduced on its own, which takes
 m passes however many rows are combined.
 
 Fields are desk scale (p^m <= 2**16).  Construction checks that p is
-prime and, for extensions, that the modulus is monic of degree m and
-irreducible by exhaustive trial division, so a successfully constructed
-``Field`` really is a field.
+prime and does its GF(p)[x] work with ``polyring.Poly`` over GF(p).  A
+user-supplied modulus must be monic of degree m and irreducible by
+exhaustive trial division, the test ``default_modulus`` already applies,
+so a constructed ``Field`` really is a field.
 """
 
 from __future__ import annotations
@@ -38,23 +39,9 @@ import functools
 import numpy as np
 
 from .errors import BoundsError
+from .polyring import Poly
 
 MAX_FIELD_SIZE = 1 << 16
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -70,6 +57,10 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
 def _power(mul, a, e: int):
     """a^e for e >= 0 by square-and-multiply under the product mul."""
     out = 1
@@ -81,43 +72,21 @@ def _power(mul, a, e: int):
     return out
 
 
-# -- raw polynomial helpers over GF(p), little-endian int lists ------------
-# polyring builds on this module, so the irreducibility check cannot use it.
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _polymod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a mod b over GF(p); b must be nonzero with nonzero lead."""
-    r = _trim([c % p for c in a])
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        factor = (r[-1] * inv_lead) % p
-        for i, bc in enumerate(b):
-            r[shift + i] = (r[shift + i] - factor * bc) % p
-        _trim(r)
-    return r
+def _digits(n: int, p: int, k: int) -> list[int]:
+    """The k lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(k):
+        out.append(n % p)
+        n //= p
+    return out
 
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg(mod)/2."""
-    deg = len(mod) - 1
-    for d in range(1, deg // 2 + 1):
-        for n in range(p**d):
-            cand = [0] * (d + 1)
-            t = n
-            for i in range(d):
-                cand[i] = t % p
-                t //= p
-            cand[d] = 1
-            if not _polymod(list(mod), cand, p):
-                return False
-    return True
+    F = GF(p)
+    f = Poly(F, mod)
+    return all(f % Poly(F, _digits(n, p, d) + [1])
+               for d in range(1, (len(mod) - 1) // 2 + 1) for n in range(p**d))
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -128,13 +97,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     and GF(16), and x^2+1 for GF(9).
     """
     for n in range(p**m):
-        cand = [0] * (m + 1)
-        t = n
-        for i in range(m):
-            cand[i] = t % p
-            t //= p
-        cand[m] = 1
-        mod = tuple(cand)
+        mod = tuple(_digits(n, p, m) + [1])
         if _is_irreducible(mod, p):
             return mod
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
@@ -171,36 +134,27 @@ class Field:
             if modulus is not None:
                 raise ValueError("modulus only applies to extension fields (m > 1)")
             self.modulus = None
+            return
+        if modulus is None:
+            mod = default_modulus(p, m)
         else:
-            mod = default_modulus(p, m) if modulus is None else tuple(int(c) % p for c in modulus)
+            mod = tuple(int(c) % p for c in modulus)
             if len(mod) != m + 1:
                 raise ValueError(f"modulus must have m+1 = {m + 1} coefficients, got {len(mod)}")
             if mod[-1] != 1:
                 raise ValueError("modulus must be monic")
             if not _is_irreducible(mod, p):
                 raise ValueError(f"modulus {mod} is reducible over GF({p})")
-            self.modulus = mod
-            self._build_exp_log()
+        self.modulus = mod
+        self._build_exp_log()
 
     # -- construction helpers ---------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Digit-vector convolution reduced by the modulus polynomial."""
-        p, m = self.p, self.m
-        da, db = self.coords(a), self.coords(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for k in range(m):
-                    prod[i - m + k] = (prod[i - m + k] - c * mod[k]) % p
-        return self.from_coords(prod[:m])
+        """a * b as polynomials over GF(p), reduced by the modulus."""
+        F = GF(self.p)
+        prod = Poly(F, self.coords(a)) * Poly(F, self.coords(b)) % Poly(F, self.modulus)
+        return self.from_coords(prod.coeffs)
 
     def _times(self, c: int) -> np.ndarray:
         """c * a for every encoding a.  Multiplication by c is GF(p)-linear,
@@ -209,8 +163,9 @@ class Field:
         idx = np.arange(self.q, dtype=np.int64)
         out = np.zeros(self.q, dtype=np.int64)
         for j in range(self.m):
-            cx = self._raw_mul(c, p**j)
-            multiples = np.array([self._raw_mul(t, cx) for t in range(p)], dtype=np.int64)
+            cx = self.coords(self._raw_mul(c, p**j))
+            multiples = np.array([self.from_coords([t * d for d in cx]) for t in range(p)],
+                                 dtype=np.int64)
             out = self.add_arrays(out, multiples[idx // p**j % p])
         return out
 
@@ -218,12 +173,14 @@ class Field:
         """exp/log tables of a primitive element g.
 
         g is the first encoding with g^(n/r) != 1 for every prime r | n,
-        n = q - 1.  exp holds two periods g^0 .. g^(2n-1) and then 2n+1
-        zeros; log[0] = 2n, so a sum of two logs with a zero term lands in
-        the zeros and products need no branch on zero."""
+        n = q - 1.  The search starts at p: an encoding below p lies in the
+        prime subfield, so its order divides p - 1 < n.  exp holds two
+        periods g^0 .. g^(2n-1) and then 2n+1 zeros; log[0] = 2n, so a sum
+        of two logs with a zero term lands in the zeros and products need
+        no branch on zero."""
         n = self.q - 1
         primes = _prime_factors(n)
-        g = next(g for g in range(2, self.q)
+        g = next(g for g in range(self.p, self.q)
                  if all(_power(self._raw_mul, g, n // r) != 1 for r in primes))
         # powers = g^0 .. g^(k-1) and step = the map a -> g^k a; each pass doubles k
         powers, step = np.ones(1, dtype=np.int64), self._times(g)
@@ -294,12 +251,7 @@ class Field:
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coordinate vector (ascending degree, length m)."""
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.m))
 
     def from_coords(self, vec) -> int:
         out, w = 0, 1

@@ -5,11 +5,17 @@ trailing zeros, the zero polynomial being the empty tuple (its degree is
 None, not a number).  ``CyclicPoly`` is a residue of F[x]/(x^s - 1) kept
 as a fixed-length vector of exactly s coefficients; index arithmetic
 wraps modulo s, which is what makes multiplication by x a cyclic shift.
+
+The field is duck-typed, so this module has no run-time dependency on
+``gf``, which builds its extension fields from ``Poly`` over GF(p).
 """
 
 from __future__ import annotations
 
-from .gf import Field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .gf import Field
 
 
 def _check_same_field(a, b):

@@ -3,14 +3,18 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tdcyclic import (GF, BiPoly, RingShape, dimension, extract_generators,
+                      generator_matrix, ideal, min_distance)
 from tdcyclic.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -168,6 +172,7 @@ def test_enumerate_random_count_over_bound_exits_4(tmp_path, capsys, monkeypatch
         raise AssertionError("a candidate was extracted past the count bound")
 
     monkeypatch.setattr("tdcyclic.ideal.extract_generators", no_extraction)
+    monkeypatch.setattr("tdcyclic.ideal.span_basis", no_extraction)
     for count in ((1 << 16) + 1, 10**12):
         in_file = dict(FIXTURE, options={"mode": "random", "count": count})
         for argv in (["enumerate", "--input", write_problem(tmp_path, in_file)],
@@ -178,6 +183,80 @@ def test_enumerate_random_count_over_bound_exits_4(tmp_path, capsys, monkeypatch
             assert time.perf_counter() - start < 1.0
             assert code == 4 and out == "", argv
             assert err.startswith("error:") and str(count) in err, err
+
+
+def _enumerate_by_candidate(shape, mode, count=0, seed=0):
+    """The enumerate CSV from a plain loop: extract every candidate, keep
+    the first of each generating set."""
+    q, n = shape.field.q, shape.n
+    if mode == "exhaustive":
+        # candidate t holds the base-q digit i * ell + j of t at cell (i, j)
+        cands = [[[t // q ** (i * shape.ell + j) % q for j in range(shape.ell)]
+                  for i in range(shape.s)] for t in range(q**n)]
+    else:
+        rng = random.Random(seed)
+        cands = [[[rng.randrange(q) for _ in range(shape.ell)] for _ in range(shape.s)]
+                 for _ in range(count)]
+    lines, seen = ["n,k,d,hash"], set()
+    for arr in cands:
+        gs = extract_generators(shape, [BiPoly(shape, arr)])
+        key = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+        if digest not in seen:
+            seen.add(digest)
+            k = dimension(gs)
+            d = str(min_distance(generator_matrix(gs))) if k else ""
+            lines.append(f"{n},{k},{d},{digest}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p,m,s,ell,mode,count", [
+    (2, 1, 2, 2, "exhaustive", 0), (2, 1, 2, 3, "exhaustive", 0),
+    (3, 1, 2, 2, "exhaustive", 0), (2, 2, 1, 3, "exhaustive", 0),
+    (2, 1, 2, 2, "random", 60), (3, 1, 1, 3, "random", 80), (2, 2, 2, 2, "random", 40),
+])
+def test_enumerate_matches_candidate_loop(tmp_path, capsys, monkeypatch, p, m, s, ell,
+                                          mode, count):
+    """enumerate skips a repeated ideal before reading its generating set:
+    same CSV as extracting every candidate, and one generating set read
+    per row.  The random cases draw far more candidates than there are
+    ideals, so most of them repeat."""
+    shape = RingShape(GF(p, m), s, ell)
+    want = _enumerate_by_candidate(shape, mode, count, seed=3)
+    reads = []
+    read = ideal.generator_set_from_basis
+    monkeypatch.setattr(ideal, "generator_set_from_basis",
+                        lambda basis: reads.append(1) or read(basis))
+    doc = {"field": {"p": p, "m": m}, "s": s, "ell": ell}
+    code, out, _ = run(capsys, ["enumerate", "--input", write_problem(tmp_path, doc),
+                                "--mode", mode, "--count", str(count), "--seed", "3"])
+    assert code == 0 and out == want
+    assert len(reads) == len(out.splitlines()) - 1
+
+
+def test_distance_at_the_default_cap(tmp_path, capsys, monkeypatch):
+    # GF(2) 5 x 5 <x + 1>: k = 20, so q^k is exactly the default cap 2^20
+    gen = [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(3)]
+    doc = {"field": {"p": 2}, "s": 5, "ell": 5, "generators": [gen]}
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["params", "--input", write_problem(tmp_path, doc),
+                                "--with-distance"])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and json.loads(out) == {"n": 25, "k": 20, "q": 2, "d": 2}
+
+    # the GF(2) 3 x 7 unit ideal: q^k = 2^21 is refused before any search
+    def no_search(*args):
+        raise AssertionError("the distance search ran past the cap")
+
+    monkeypatch.setattr("tdcyclic.codegen._information_sets", no_search)
+    unit = [[1] + [0] * 6] + [[0] * 7 for _ in range(2)]
+    doc = {"field": {"p": 2}, "s": 3, "ell": 7, "generators": [unit]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["params", "--input", write_problem(tmp_path, doc, "u.json"),
+                                  "--with-distance"])
+    assert time.perf_counter() - start < 10.0
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and str(1 << 21) in err, err
 
 
 def test_enumerate_cap_below_qk_leaves_d_empty(tmp_path, capsys):
@@ -208,6 +287,23 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert code == 2, doc
         assert err.startswith("error:")
     assert run(capsys, ["construct", "--input", str(tmp_path / "missing.json")])[0] == 2
+    # documents json.loads refuses with RecursionError or, over the interpreter's
+    # digit limit, ValueError; without that limit the integer fails the range check
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(
+        '{"field": {"p": 2}, "s": 2, "ell": 2, "generators": [[[%s, 0], [1, 0]]]}' % ("7" * 5000))
+    long_elem = tmp_path / "long_elem.json"
+    long_elem.write_text("[[%s, 0], [0, 0]]" % ("7" * 5000))
+    fixture = write_problem(tmp_path, FIXTURE, "fixture.json")
+    for argv in (["construct", "--input", str(deep)],
+                 ["construct", "--input", str(long_int)],
+                 ["member", "--input", fixture, "--element", str(deep)],
+                 ["member", "--input", fixture, "--element", str(long_elem)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:"), err
     # wrong JSON types: options by key, and bools where integers are expected
     small = {"field": {"p": 2}, "s": 1, "ell": 2}
     typed = [

@@ -108,6 +108,26 @@ def test_encode_output_is_member():
         decompose(word, gs)  # raises NotMember on failure
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_decompose_of_encode_returns_the_message(data):
+    """decompose(encode(gm, m), gs) is m laid out by gm.labels: coefficient
+    a of q_j is the entry labelled (j, a), every other coefficient is 0."""
+    F = data.draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5), GF(3, 2)]))
+    sh = RingShape(F, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    gens = random_generators(random.Random(data.draw(st.integers(0, 2**32))), sh)
+    gs = extract_generators(sh, gens)
+    gm = generator_matrix(gs)
+    msg = data.draw(st.lists(st.integers(0, F.q - 1), min_size=gm.k, max_size=gm.k))
+    want = [[0] * sh.s for _ in range(sh.ell)]
+    for (j, a), c in zip(gm.labels, msg):
+        want[j][a] = c
+    word = BiPoly.from_vector(sh, encode(gm, np.array(msg, dtype=np.int64)), CODEWORD)
+    for want_trace in (False, True):
+        dec = decompose(word, gs, want_trace=want_trace)
+        assert [list(q.coeffs) for q in dec.coeffs] == want
+
+
 def test_min_distance_examples():
     sh, gens, gs = fixture_gs()
     assert min_distance(generator_matrix(gs)) == 2

@@ -113,6 +113,10 @@ def test_construction_rejects_bad_inputs():
         Field(2, 0)
     with pytest.raises(ValueError):
         Field(2, 2, modulus=[1, 0, 1])  # x^2 + 1 = (x+1)^2 over GF(2)
+    with pytest.raises(ValueError, match="reducible"):
+        Field(2, 4, modulus=[1, 0, 1, 0, 1])  # (x^2 + x + 1)^2: no linear factor
+    with pytest.raises(ValueError, match="reducible"):
+        Field(5, 2, modulus=[1, 0, 1])  # x^2 + 1 = (x + 2)(x + 3) over GF(5)
     with pytest.raises(ValueError):
         Field(2, 2, modulus=[1, 1, 2])  # reduces to non-monic
     with pytest.raises(ValueError):
@@ -187,7 +191,8 @@ def _sympy_mul(F, a, b):
     return _from_poly(F, gf_rem(prod, mod, F.p, ZZ))
 
 
-@pytest.mark.parametrize("p,m", [(2, 8), (2, 9), (2, 16), (3, 6), (5, 4), (3, 10)])
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 9), (2, 16), (3, 6), (5, 4), (3, 10),
+                                 (251, 2), (13, 4)])
 def test_extension_field_products_match_sympy(p, m):
     F = GF(p, m)
     rng = np.random.default_rng(p * 100 + m)
