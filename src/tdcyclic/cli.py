@@ -8,8 +8,19 @@ Problems are JSON files ("-" reads stdin):
      "generators": [[[1,0],[1,0]]],      # s x ell arrays, rows = x-exponent
      "options": {"format": "json", "cap": 1048576, "seed": 0}}
 
-Exit codes: 0 ok, 2 malformed input, 3 desk-scale bound violated,
-4 enumeration over cap, 5 verification failed.
+``main`` runs every subcommand through one pipeline; each step names
+the exit code it gives:
+
+1. parse the command line (argparse exits 2 on an unknown or ill-formed flag);
+2. read and check the problem: 2 if it is malformed, 3 if its field or
+   array is over a desk-scale bound;
+3. resolve each option of the subcommand from its flag, else the file's
+   ``options``, else the default, and check it: 2 if it is of the wrong
+   type or out of range.  No engine work has run yet;
+4. run the subcommand, a function of (problem, args) that returns its
+   text and exit code: 3 if the engine refuses the problem up front, 4 if
+   an enumeration is over its cap, 5 if verification failed, else 0;
+5. write the text to --output or stdout: 2 if it cannot be written.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 
 from . import codegen, ideal, oracle
 from .errors import BoundsError, NotMember, TooLargeError
-from .gf import Field, field_from_descriptor
+from .gf import field_from_descriptor
 from .ring2d import BiPoly, RingShape
 
 # candidates enumerate may try: q^(s*ell) in exhaustive mode, count in random mode
@@ -69,17 +80,17 @@ def _parse_json(text: str, label: str):
         raise ProblemFormatError(f"{label}invalid JSON: {e}")
 
 
-def _parse_array(field: Field, s: int, ell: int, arr, label: str):
-    if not isinstance(arr, list) or len(arr) != s:
-        raise ProblemFormatError(f"{label}: expected {s} rows")
+def _parse_array(shape: RingShape, arr, label: str) -> BiPoly:
+    if not isinstance(arr, list) or len(arr) != shape.s:
+        raise ProblemFormatError(f"{label}: expected {shape.s} rows")
     for i, row in enumerate(arr):
-        if not isinstance(row, list) or len(row) != ell:
-            raise ProblemFormatError(f"{label}[{i}]: expected {ell} entries")
+        if not isinstance(row, list) or len(row) != shape.ell:
+            raise ProblemFormatError(f"{label}[{i}]: expected {shape.ell} entries")
         for j, v in enumerate(row):
-            if not _is_int(v) or not 0 <= v < field.q:
+            if not _is_int(v) or not 0 <= v < shape.field.q:
                 raise ProblemFormatError(
-                    f"{label}[{i}][{j}]: {v!r} is not an element encoding in [0, {field.q})")
-    return arr
+                    f"{label}[{i}][{j}]: {v!r} is not an element encoding in [0, {shape.field.q})")
+    return BiPoly(shape, arr)
 
 
 def load_problem(text: str) -> Problem:
@@ -116,8 +127,7 @@ def load_problem(text: str) -> Problem:
     gens_doc = doc.get("generators", [])
     if not isinstance(gens_doc, list):
         raise ProblemFormatError("generators must be a list of s x ell arrays")
-    gens = [BiPoly(shape, _parse_array(field, s, ell, g, f"generators[{i}]"))
-            for i, g in enumerate(gens_doc)]
+    gens = [_parse_array(shape, g, f"generators[{i}]") for i, g in enumerate(gens_doc)]
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ProblemFormatError("options must be an object")
@@ -139,98 +149,85 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_OPTION_TYPES = {"cap": int, "count": int, "seed": int, "with_distance": bool, "trace": bool}
-_OPTION_MIN = {"cap": 1, "count": 0}
+# option: (default, JSON type or the allowed values, least value)
+_OPTIONS = {
+    "format": ("json", ("json", "text", "csv"), None),
+    "mode": ("exhaustive", ("exhaustive", "random"), None),
+    "cap": (codegen.DEFAULT_CAP, int, 1),
+    "with_distance": (False, bool, None),
+    "trace": (False, bool, None),
+    "seed": (0, int, None),
+    "count": (0, int, 0),
+}
 
 
-def _opt(args_value, options: dict, key: str, fallback):
+def _opt(args_value, options: dict, key: str):
     """The command-line value if given, else the problem file's option,
-    else the fallback; a file option of the wrong JSON type, or a value
-    below the option's minimum, is an error naming the flag or the key."""
+    else the default; a file option of the wrong JSON type, a value that
+    is not one of the option's choices or is below its minimum, is an
+    error naming the option."""
+    default, kind, low = _OPTIONS[key]
     if args_value is not None:
         value, where = args_value, f"--{key}"
     else:
-        value, where = options.get(key, fallback), f"options.{key}"
-        kind = _OPTION_TYPES.get(key)
+        value, where = options.get(key, default), f"options.{key}"
         if kind is int and not _is_int(value):
             raise ProblemFormatError(f"{where}: {value!r} is not an integer")
         if kind is bool and not isinstance(value, bool):
             raise ProblemFormatError(f"{where}: {value!r} is not true or false")
-    low = _OPTION_MIN.get(key)
+    if isinstance(kind, tuple) and value not in kind:
+        raise ProblemFormatError(f"unknown {key} {value!r}")
     if low is not None and value < low:
         raise ProblemFormatError(f"{where}: {value} is less than {low}")
     return value
 
 
-def cmd_construct(args) -> int:
-    prob = load_problem(_read_text(args.input))
-    gs = ideal.extract_generators(prob.shape, prob.generators)
-    _emit(_json_text(gs.to_json_dict()), args.output)
-    return 0
+def cmd_construct(problem: Problem, args) -> tuple[str, int]:
+    gs = ideal.extract_generators(problem.shape, problem.generators)
+    return _json_text(gs.to_json_dict()), 0
 
 
-def cmd_matrix(args) -> int:
-    prob = load_problem(_read_text(args.input))
-    gm = codegen.generator_matrix(ideal.extract_generators(prob.shape, prob.generators))
-    fmt = _opt(args.format, prob.options, "format", "json")
-    if fmt == "json":
-        text = _json_text(codegen.matrix_json_dict(gm))
-    elif fmt == "text":
-        text = codegen.matrix_text(gm)
-    elif fmt == "csv":
-        text = codegen.matrix_csv(gm)
-    else:
-        raise ProblemFormatError(f"unknown format {fmt!r}")
-    _emit(text, args.output)
-    return 0
+def cmd_matrix(problem: Problem, args) -> tuple[str, int]:
+    gm = codegen.generator_matrix(ideal.extract_generators(problem.shape, problem.generators))
+    if args.format == "json":
+        return _json_text(codegen.matrix_json_dict(gm)), 0
+    if args.format == "text":
+        return codegen.matrix_text(gm), 0
+    return codegen.matrix_csv(gm), 0
 
 
-def cmd_params(args) -> int:
-    prob = load_problem(_read_text(args.input))
-    cap = _opt(args.cap, prob.options, "cap", codegen.DEFAULT_CAP)
-    with_d = _opt(args.with_distance, prob.options, "with_distance", False)
-    gs = ideal.extract_generators(prob.shape, prob.generators)
-    params = codegen.code_params(gs, with_distance=with_d, cap=cap)
-    _emit(_json_text(params.to_json_dict()), args.output)
-    return 0
+def cmd_params(problem: Problem, args) -> tuple[str, int]:
+    gs = ideal.extract_generators(problem.shape, problem.generators)
+    params = codegen.code_params(gs, with_distance=args.with_distance, cap=args.cap)
+    return _json_text(params.to_json_dict()), 0
 
 
-def cmd_member(args) -> int:
-    prob = load_problem(_read_text(args.input))
+def cmd_member(problem: Problem, args) -> tuple[str, int]:
     raw = args.element
-    if raw.lstrip().startswith("["):
-        text = raw
-    else:
-        text = _read_text(raw)
-    arr = _parse_json(text, "element: ")
-    elem = BiPoly(prob.shape, _parse_array(
-        prob.shape.field, prob.shape.s, prob.shape.ell, arr, "element"))
-    want_trace = _opt(args.trace, prob.options, "trace", False)
-    gs = ideal.extract_generators(prob.shape, prob.generators)
+    text = raw if raw.lstrip().startswith("[") else _read_text(raw)
+    elem = _parse_array(problem.shape, _parse_json(text, "element: "), "element")
+    gs = ideal.extract_generators(problem.shape, problem.generators)
     try:
-        dec = ideal.decompose(elem, gs, want_trace=want_trace)
+        dec = ideal.decompose(elem, gs, want_trace=args.trace)
     except NotMember as e:
-        _emit(_json_text({"member": False, "layer": e.layer}), args.output)
-        return 0
+        return _json_text({"member": False, "layer": e.layer}), 0
     doc = {"member": True, "q": [list(q.coeffs) for q in dec.coeffs]}
     if dec.trace is not None:
         doc["trace"] = [h.arr.tolist() for h in dec.trace]
-    _emit(_json_text(doc), args.output)
-    return 0
+    return _json_text(doc), 0
 
 
-def cmd_verify(args) -> int:
-    prob = load_problem(_read_text(args.input))
-    gs = ideal.extract_generators(prob.shape, prob.generators)
+def cmd_verify(problem: Problem, args) -> tuple[str, int]:
+    gs = ideal.extract_generators(problem.shape, problem.generators)
     if args.corrupt:
         gens = list(gs.gens)
         for j in range(len(gens) - 1, -1, -1):
             if not gens[j].is_zero:
-                gens[j] = BiPoly.zero(prob.shape)
+                gens[j] = BiPoly.zero(problem.shape)
                 break
         gs = dataclasses.replace(gs, gens=tuple(gens))
     gm = codegen.generator_matrix(gs)
-    closure = oracle.bruteforce_ideal(prob.shape, prob.generators)
+    closure = oracle.bruteforce_ideal(problem.shape, problem.generators)
     rep_gs = oracle.verify_generator_set(gs, closure)
     rep_gm = oracle.verify_matrix(gm, closure)
     checks = []
@@ -238,20 +235,13 @@ def cmd_verify(args) -> int:
         for c in rep.to_json_dict()["checks"]:
             c["name"] = f"{prefix}:{c['name']}"
             checks.append(c)
-    _emit(_json_text({"checks": checks}), args.output)
-    return 0 if rep_gs.passed and rep_gm.passed else 5
+    return _json_text({"checks": checks}), 0 if rep_gs.passed and rep_gm.passed else 5
 
 
-def cmd_enumerate(args) -> int:
-    prob = load_problem(_read_text(args.input))
-    shape = prob.shape
+def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
+    shape = problem.shape
     q = shape.field.q
-    mode = _opt(args.mode, prob.options, "mode", "exhaustive")
-    cap = _opt(args.cap, prob.options, "cap", codegen.DEFAULT_CAP)
-    seed = _opt(args.seed, prob.options, "seed", 0)
-    count = _opt(args.count, prob.options, "count", 0)
-
-    if mode == "exhaustive":
+    if args.mode == "exhaustive":
         total = q**shape.n
         if total > MAX_EXHAUSTIVE_CANDIDATES:
             raise TooLargeError(
@@ -260,15 +250,13 @@ def cmd_enumerate(args) -> int:
         # candidate t holds the base-q digit k of t at cell (k // ell, k % ell)
         digits = np.arange(total)[:, None] // q ** np.arange(shape.n) % q
         candidates = digits.reshape(total, shape.s, shape.ell)
-    elif mode == "random":
-        if count > MAX_EXHAUSTIVE_CANDIDATES:
-            raise TooLargeError(
-                f"count {count} exceeds the candidate bound {MAX_EXHAUSTIVE_CANDIDATES}")
-        rng = random.Random(seed)
-        candidates = ([[rng.randrange(q) for _ in range(shape.ell)]
-                       for _ in range(shape.s)] for _ in range(count))
     else:
-        raise ProblemFormatError(f"unknown mode {mode!r}")
+        if args.count > MAX_EXHAUSTIVE_CANDIDATES:
+            raise TooLargeError(
+                f"count {args.count} exceeds the candidate bound {MAX_EXHAUSTIVE_CANDIDATES}")
+        rng = random.Random(args.seed)
+        candidates = ([[rng.randrange(q) for _ in range(shape.ell)]
+                       for _ in range(shape.s)] for _ in range(args.count))
 
     lines = ["n,k,d,hash"]
     seen = set()
@@ -281,17 +269,13 @@ def cmd_enumerate(args) -> int:
         gs = ideal.generator_set_from_basis(basis)
         doc = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
-        k = codegen.dimension(gs)
-        if k == 0:
-            d = ""
-        else:
-            try:
-                d = str(codegen.min_distance(codegen.generator_matrix(gs), cap))
-            except TooLargeError:
-                d = ""
-        lines.append(f"{shape.n},{k},{d},{digest}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        try:
+            params = codegen.code_params(gs, with_distance=True, cap=args.cap)
+        except TooLargeError:  # q^k over the cap: the row keeps n and k, d is left empty
+            params = codegen.code_params(gs)
+        d = "" if params.d is None else params.d
+        lines.append(f"{params.n},{params.k},{d},{digest}")
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,63 +285,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "generator matrices, membership, verification, surveys.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=False):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="problem JSON file, or - for stdin")
         p.add_argument("--output", default=None, help="write output here instead of stdout")
-        if fmt:
-            p.add_argument("--format", choices=["json", "text", "csv"], default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("construct", help="canonical generating polynomial set")
-    common(p)
-    p.set_defaults(func=cmd_construct)
+    command("construct", cmd_construct, "canonical generating polynomial set")
 
-    p = sub.add_parser("matrix", help="generator matrix")
-    common(p, fmt=True)
-    p.set_defaults(func=cmd_matrix)
+    p = command("matrix", cmd_matrix, "generator matrix")
+    p.add_argument("--format", choices=_OPTIONS["format"][1], default=None)
 
-    p = sub.add_parser("params", help="code parameters (n, k, optionally d)")
-    common(p)
+    p = command("params", cmd_params, "code parameters (n, k, optionally d)")
     p.add_argument("--with-distance", action="store_true", default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("member", help="decompose an element over the generating set")
-    common(p)
+    p = command("member", cmd_member, "decompose an element over the generating set")
     p.add_argument("--element", required=True,
                    help="s x ell JSON array (inline) or a path to one")
     p.add_argument("--trace", action="store_true", default=None,
                    help="include intermediate remainders")
-    p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("verify", help="brute-force verification report")
-    common(p)
+    p = command("verify", cmd_verify, "brute-force verification report")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("enumerate", help="survey single-generator codes as CSV")
-    common(p)
-    p.add_argument("--mode", choices=["exhaustive", "random"], default=None)
+    p = command("enumerate", cmd_enumerate, "survey single-generator codes as CSV")
+    p.add_argument("--mode", choices=_OPTIONS["mode"][1], default=None)
     p.add_argument("--count", type=int, default=None, help="samples in random mode")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_enumerate)
 
     return ap
+
+
+_EXIT_CODES = {ProblemFormatError: 2, BoundsError: 3, TooLargeError: 4}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ProblemFormatError as e:
+        problem = load_problem(_read_text(args.input))
+        for key in _OPTIONS:  # the subcommand's options are those of its flags named here
+            if hasattr(args, key):
+                setattr(args, key, _opt(getattr(args, key), problem.options, key))
+        text, code = args.func(problem, args)
+        _emit(text, args.output)
+        return code
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BoundsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except TooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(e)]
 
 
 def entry():

@@ -50,10 +50,6 @@ class Poly:
     def constant(cls, field: Field, c: int) -> "Poly":
         return cls(field, (c,))
 
-    @classmethod
-    def monomial(cls, field: Field, k: int, c: int = 1) -> "Poly":
-        return cls(field, (0,) * k + (c,))
-
     @property
     def degree(self):
         """Degree as an int; None for the zero polynomial."""

@@ -376,6 +376,33 @@ def test_elimination_over_work_budget_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "exceeds the elimination budget" in err
 
 
+def test_options_are_checked_before_engine_work(tmp_path, capsys, monkeypatch):
+    """A bad option exits 2 before any engine work, even on a problem the
+    engine would refuse (the 38 x 38 unit ideal is over the elimination
+    budget)."""
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine work ran before the options were checked")
+
+    monkeypatch.setattr("tdcyclic.ideal.extract_generators", no_engine)
+    monkeypatch.setattr("tdcyclic.ideal.span_basis", no_engine)
+    unit = [[0] * 38 for _ in range(38)]
+    unit[0][0] = 1
+    doc = {"field": {"p": 2}, "s": 38, "ell": 38, "generators": [unit]}
+    element = write_problem(tmp_path, unit, "element.json")
+    cases = [(["matrix"], {"format": "yaml"}, "format"),
+             (["params", "--with-distance"], {"cap": 0}, "options.cap"),
+             (["member", "--element", element], {"trace": 1}, "options.trace"),
+             (["enumerate"], {"mode": "x"}, "mode"),
+             (["enumerate"], {"count": -1}, "options.count")]
+    for i, (argv, options, named) in enumerate(cases):
+        path = write_problem(tmp_path, dict(doc, options=options), f"opt{i}.json")
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--input", path])
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and named in err, err
+
+
 def test_oversized_fields_exit_3_in_subprocess(tmp_path):
     # a huge prime p or a huge m is refused from p and m alone: testing p
     # for primality or computing p^m first would not finish
@@ -421,6 +448,22 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["construct", "--input", path, "--output", str(dest)])
     assert code == 0 and out == ""
     assert dest.read_text() == (DATA / "fixture_generator_set.json").read_text()
+    # every subcommand writes to --output exactly what it writes to stdout
+    calls = [(["construct"], 0), (["matrix", "--format", "json"], 0),
+             (["matrix", "--format", "text"], 0), (["matrix", "--format", "csv"], 0),
+             (["params", "--with-distance"], 0),
+             (["member", "--element", "[[1,1],[1,1]]", "--trace"], 0),
+             (["member", "--element", "[[1,0],[0,0]]"], 0),
+             (["verify"], 0), (["verify", "--corrupt"], 5),
+             (["enumerate", "--mode", "exhaustive"], 0),
+             (["enumerate", "--mode", "random", "--count", "20", "--seed", "7"], 0)]
+    for i, (argv, want_code) in enumerate(calls):
+        code, want, _ = run(capsys, argv + ["--input", path])
+        assert code == want_code and want, argv
+        dest = tmp_path / f"out{i}.txt"
+        code, out, _ = run(capsys, argv + ["--input", path, "--output", str(dest)])
+        assert code == want_code and out == "", argv
+        assert dest.read_text() == want, argv
 
 
 def test_roundtrip_construct_output_as_generators(tmp_path, capsys):
