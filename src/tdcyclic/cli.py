@@ -19,7 +19,9 @@ the exit code it gives:
    type or out of range.  No engine work has run yet;
 4. run the subcommand, a function of (problem, args) that returns its
    text and exit code: 3 if the engine refuses the problem up front, 4 if
-   an enumeration is over its cap, 5 if verification failed, else 0;
+   an enumeration is over its cap, 5 if verification failed, else 0.
+   ``verify`` checks the oracle's bound (s*ell <= 64, else 3) before the
+   engine runs;
 5. write the text to --output or stdout: 2 if it cannot be written.
 """
 
@@ -218,6 +220,8 @@ def cmd_member(problem: Problem, args) -> tuple[str, int]:
 
 
 def cmd_verify(problem: Problem, args) -> tuple[str, int]:
+    # the closure first: it refuses a problem over the oracle's bound before any engine work
+    closure = oracle.bruteforce_ideal(problem.shape, problem.generators)
     gs = ideal.extract_generators(problem.shape, problem.generators)
     if args.corrupt:
         gens = list(gs.gens)
@@ -227,7 +231,6 @@ def cmd_verify(problem: Problem, args) -> tuple[str, int]:
                 break
         gs = dataclasses.replace(gs, gens=tuple(gens))
     gm = codegen.generator_matrix(gs)
-    closure = oracle.bruteforce_ideal(problem.shape, problem.generators)
     rep_gs = oracle.verify_generator_set(gs, closure)
     rep_gm = oracle.verify_matrix(gm, closure)
     checks = []

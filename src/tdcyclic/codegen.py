@@ -178,7 +178,6 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
             lower += w >= k - r  # max(0, w + 1 - (k - r)) grew by one
             if best <= lower or w == k:
                 return best
-    return best
 
 
 def code_params(gs: GeneratorSet, with_distance: bool = False,

@@ -125,7 +125,7 @@ class ClosureBasis:
 
     shape: RingShape
     vectors: np.ndarray
-    _reducer: _Reducer = dc_field(repr=False, default=None)
+    _reducer: _Reducer = dc_field(repr=False)
 
     @property
     def dimension(self) -> int:

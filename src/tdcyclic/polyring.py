@@ -46,10 +46,6 @@ class Poly:
     def one(cls, field: Field) -> "Poly":
         return cls(field, (1,))
 
-    @classmethod
-    def constant(cls, field: Field, c: int) -> "Poly":
-        return cls(field, (c,))
-
     @property
     def degree(self):
         """Degree as an int; None for the zero polynomial."""
@@ -88,8 +84,7 @@ class Poly:
         return Poly(f, out)
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return self.scale(self.field.neg(1))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -159,10 +154,7 @@ class Poly:
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0 by convention."""
-    _check_same_field(a, b)
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    return xgcd(a, b)[0]
 
 
 def xgcd(a: Poly, b: Poly):
@@ -178,10 +170,10 @@ def xgcd(a: Poly, b: Poly):
         return zero, zero, zero
     if not b:
         g = a.monic()
-        return g, Poly.constant(f, f.inv(a.lc)), zero
+        return g, Poly(f, (f.inv(a.lc),)), zero
     if not a:
         g = b.monic()
-        return g, zero, Poly.constant(f, f.inv(b.lc))
+        return g, zero, Poly(f, (f.inv(b.lc),))
     r0, r1 = a, b
     u0, u1 = one, zero
     while r1:
@@ -223,7 +215,8 @@ class CyclicPoly:
     """Residue of F[x]/(x^s - 1) as a fixed-length coefficient vector.
 
     The vector always has exactly s entries (zero-padded, never trimmed);
-    coefficient of x^i sits at index i.
+    coefficient of x^i sits at index i.  Arithmetic is done on the lifts
+    by ``Poly`` and folded back by ``from_poly``.
     """
 
     __slots__ = ("field", "coeffs")
@@ -278,12 +271,10 @@ class CyclicPoly:
 
     def __add__(self, other: "CyclicPoly") -> "CyclicPoly":
         self._check_compatible(other)
-        f = self.field
-        return CyclicPoly(f, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return CyclicPoly.from_poly(self.lift() + other.lift(), self.s)
 
     def __neg__(self) -> "CyclicPoly":
-        f = self.field
-        return CyclicPoly(f, [f.neg(c) for c in self.coeffs])
+        return CyclicPoly.from_poly(-self.lift(), self.s)
 
     def __sub__(self, other: "CyclicPoly") -> "CyclicPoly":
         return self + (-other)
@@ -295,8 +286,7 @@ class CyclicPoly:
         return CyclicPoly.from_poly(self.lift() * other.lift(), self.s)
 
     def scale(self, c: int) -> "CyclicPoly":
-        f = self.field
-        return CyclicPoly(f, [f.mul(c, a) for a in self.coeffs])
+        return CyclicPoly.from_poly(self.lift().scale(c), self.s)
 
     def shift(self, t: int = 1) -> "CyclicPoly":
         """Multiply by x^t: coefficient index i moves to (i + t) mod s."""

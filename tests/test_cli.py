@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tdcyclic import (GF, BiPoly, RingShape, dimension, extract_generators,
                       generator_matrix, ideal, min_distance)
-from tdcyclic.cli import main
+from tdcyclic.cli import entry, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -401,6 +401,33 @@ def test_options_are_checked_before_engine_work(tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and named in err, err
+
+
+def test_verify_over_oracle_bound_refused_before_engine_work(tmp_path, capsys, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine work ran before the oracle's bound was checked")
+
+    monkeypatch.setattr("tdcyclic.ideal.extract_generators", no_engine)
+    monkeypatch.setattr("tdcyclic.ideal.span_basis", no_engine)
+    gen = [[1] * 9 for _ in range(9)]
+    path = write_problem(tmp_path, {"field": {"p": 2}, "s": 9, "ell": 9, "generators": [gen]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--input", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == "error: oracle handles s*ell <= 64, got 81\n"
+
+
+def test_entry_exit_codes(tmp_path, monkeypatch):
+    """entry(), the installed tdcyclic script, exits with main's code."""
+    path = write_problem(tmp_path, FIXTURE)
+    for argv, want in [(["construct", "--input", path], 0),
+                       (["matrix", "--input", path, "--format", "yaml"], 2),
+                       (["verify", "--input", path, "--corrupt"], 5)]:
+        monkeypatch.setattr("sys.argv", ["tdcyclic", *argv])
+        with pytest.raises(SystemExit) as e:
+            entry()
+        assert e.value.code == want, argv
 
 
 def test_oversized_fields_exit_3_in_subprocess(tmp_path):

@@ -361,6 +361,50 @@ def test_decompose_agrees_with_echelon_membership():
                 rejected += 1
 
 
+@st.composite
+def _decompositions(draw):
+    """An ideal over a small field and an element: a combination of the
+    generators, or an arbitrary array (a member or not)."""
+    F = draw(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2)]))
+    s, ell = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.integers(0, F.q - 1)
+    arr = st.lists(st.lists(cell, min_size=ell, max_size=ell), min_size=s, max_size=s)
+    sh = RingShape(F, s, ell)
+    pairs = draw(st.lists(st.tuples(arr, st.none() | arr), max_size=3))
+    gens = [BiPoly(sh, a) if b is None else BiPoly(sh, a) * BiPoly(sh, b) for a, b in pairs]
+    if draw(st.booleans()):
+        f = BiPoly.zero(sh)
+        for g in gens:
+            f = f + g * BiPoly(sh, draw(arr))
+    else:
+        f = BiPoly(sh, draw(arr))
+    return sh, gens, f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_decompositions())
+def test_not_member_layer_and_trace(problem):
+    """NotMember names the first y-column where the element's residual
+    against the echelon basis is nonzero; for a member, trace[k] is
+    f - sum_{j <= k} gens[j] * q_j."""
+    sh, gens, f = problem
+    gs = extract_generators(sh, gens)
+    residual = span_basis(sh, gens).residual(f)
+    try:
+        dec = decompose(f, gs, want_trace=True)
+    except NotMember as e:
+        assert not residual.is_zero
+        assert e.layer == min(j for j in range(sh.ell) if not residual.coord(j).is_zero)
+        return
+    assert residual.is_zero
+    partial = f
+    for k, (g, q) in enumerate(zip(gs.gens, dec.coeffs)):
+        partial = partial - g * q
+        if k < sh.ell - 1:
+            assert dec.trace[k] == partial
+    assert partial.is_zero
+
+
 # -- canonical_form -------------------------------------------------------------
 
 def gs_bytes(gs):

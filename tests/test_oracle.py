@@ -14,6 +14,7 @@ from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, Poly, RingShape, TooL
                       bruteforce_ideal, check_shift_closure, enumerate_span,
                       extract_generators, generator_matrix, reduced_span,
                       span_basis, verify_generator_set, verify_matrix)
+from tdcyclic.oracle import ClosureBasis
 from conftest import random_generators
 
 
@@ -41,6 +42,13 @@ def test_closure_trivial_ideals():
 def test_closure_bound():
     with pytest.raises(BoundsError):
         bruteforce_ideal(RingShape(GF(2), 9, 9), [])
+
+
+def test_closure_basis_needs_its_reducer():
+    sh, gens = fixture_problem()
+    basis = bruteforce_ideal(sh, gens)
+    with pytest.raises(TypeError):
+        ClosureBasis(sh, basis.vectors)
 
 
 def test_enumerate_span_cap():
