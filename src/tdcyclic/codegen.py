@@ -12,6 +12,16 @@ information sets that take new columns first.  Messages of weight
 w = 1, 2, ... are encoded on each of them, which lowers an upper bound
 on d, while the weight every unseen codeword must carry on the new
 columns raises a lower bound; the search stops when the bounds meet.
+Sets after the first are computed only when the search needs them.  A
+code of the ring is closed under the s*ell shifts x^a y^b, which move
+the coordinates transitively, so a shift image of the first information
+set is an information set too, whose words are shifted copies of the
+first set's, of the same weights (the automorphism refinement of Grassl
+2006).  Such images raise the lower bound but are never enumerated.  An
+echelon form on the unused columns is computed only when no image takes
+as many new columns as a set could, and the echelon sets alone are kept
+when they predict fewer words.  Shift closure is tested on the rows, not
+assumed: rows that are not closed get echelon sets only.
 Each weight level is built from the one below by adding one scaled row,
 in chunks of at most ``_TABLE_ELEMS`` entries, so the working set stays
 a few chunk-sized arrays over every field, however long the code is.
@@ -20,6 +30,7 @@ a few chunk-sized arrays over every field, however long the code is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -91,22 +102,127 @@ def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
     return fld.dot(m % fld.q, gm.rows)
 
 
-def _information_sets(fld, rows: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """Systematic forms (gamma_i, r_i) of the row space of rows.
+def _shift_images(shape: RingShape, gamma: np.ndarray, pivots) -> np.ndarray | None:
+    """The columns of the pivot set I under every shift x^a y^b, one
+    (s*ell, k) row per shift, if the row space of gamma is closed under
+    shifts; None if it is not.
 
-    Each gamma_i is the reduced echelon form with its pivots taken first
-    among the columns no earlier gamma pivots on; r_i counts those new
-    pivot columns, so the new columns of different gammas are disjoint.
-    Stops when no new pivot column is left."""
-    used = np.zeros(rows.shape[1], dtype=bool)
-    out = []
-    while True:
-        gamma, pivots = _rref(rows, fld, np.argsort(used, kind="stable"))  # unused first
-        new = [c for c in pivots if not used[c]]
-        if not new:
-            return out
-        out.append((gamma, len(new)))
+    Closure is tested on the one-step x- and y-shifts of the rows, which
+    generate every shift: each shifted row must reduce to zero against
+    gamma, whose columns I hold the identity.  The rows are shifted and
+    reduced in chunks whose products fit the _TABLE_ELEMS budget."""
+    fld, s, ell, n = shape.field, shape.s, shape.ell, shape.n
+    k = len(pivots)
+    cells = np.arange(n).reshape(s, ell)
+    # column c of a shifted row comes from column src[c]
+    src = np.concatenate([cells[shift_source(s, [1])[0]].ravel(),
+                          cells[:, shift_source(ell, [1])[0]].ravel()])
+    step = max(1, _TABLE_ELEMS // (2 * k * n))
+    for a in range(0, k, step):
+        shifted = gamma[a:a + step, src].reshape(-1, n)
+        if fld.sub_arrays(shifted, fld.dot(shifted[:, pivots], gamma)).any():
+            return None
+    # x^-a y^-b takes cell (i, j) to ((i - a) % s, (j - b) % ell)
+    i, j = np.divmod(np.asarray(pivots), ell)
+    rows_i = shift_source(s, np.arange(s))[:, i]
+    cols_j = shift_source(ell, np.arange(ell))[:, j]
+    return (rows_i[:, None] * ell + cols_j[None, :]).reshape(-1, k)
+
+
+def _predicted_words(k: int, q: int, target: int, ranks, enumerated: int) -> int:
+    """Words the search encodes before its lower bound reaches target, on
+    information sets with r_i = ranks new columns, of which the first
+    `enumerated` are enumerated: the sum over levels w of
+    enumerated * C(k, w) * (q - 1)^(w - 1)."""
+    lower, words = sum(r == k for r in ranks), 0
+    for w in range(1, k + 1):
+        if lower >= target:
+            break
+        words += enumerated * comb(k, w) * (q - 1) ** (w - 1)
+        lower += sum(w >= k - r for r in ranks)
+    return words
+
+
+def _information_sets(shape: RingShape, rows: np.ndarray):
+    """Yield information sets (gamma_i, r_i) of the row space of rows.
+    Set i takes r_i new columns that no earlier set took, so the new
+    columns of different sets are disjoint.  The sets after the first are
+    computed only when the search asks for the second.
+
+    The first set is the reduced echelon form gamma_1 with its pivots I
+    sought in column order, r_1 = k.  An echelon set is the echelon form
+    with the unused columns sought first.  If the rows are closed under
+    the shifts x^a y^b, as every code of the ring is, each shift image
+    sigma(I) is an information set too, whose words are the sigma-images
+    of gamma_1's; it is yielded as (None, r_i).  Each later set is then
+    the image with the most new columns if it takes min(k, unused
+    columns), the most any set can take; otherwise the echelon set, unless
+    the image takes at least as many.  Images can pack the columns worse
+    than echelon sets, so that later sets take fewer.  So when some image
+    fell short, the echelon sets alone are built as well, as far as they
+    might still be cheaper, and kept if they predict fewer words up to
+    gamma_1's least row weight, the search's upper bound when it asks for
+    the second set.  Rows that are not closed get echelon sets only.
+
+    No set is sought once no row is nonzero on an unused column, so no
+    elimination comes back without a new column.  Shift-closed rows have
+    no zero column, since the shifts move the columns transitively, so
+    for them that is when every column is used."""
+    fld = shape.field
+    k, n = rows.shape
+    found = {}
+
+    def echelon(used):
+        key = used.tobytes()
+        if key not in found:
+            gamma, pivots = _rref(rows, fld, np.argsort(used, kind="stable"))  # unused first
+            found[key] = gamma, [c for c in pivots if not used[c]]
+        return found[key]
+
+    def echelon_sets(used):
+        used = used.copy()
+        while rows[:, ~used].any():
+            gamma, new = echelon(used)
+            used[new] = True
+            yield gamma, len(new)
+
+    first = np.zeros(n, dtype=bool)
+    gamma, pivots = echelon(first)
+    first[pivots] = True
+    yield gamma, len(pivots)
+    images = _shift_images(shape, gamma, pivots)
+    if images is None:
+        yield from echelon_sets(first)
+        return
+    chosen, used, short = [], first.copy(), False
+    while rows[:, ~used].any():
+        fresh = ~used[images]
+        best = int(fresh.sum(axis=1).argmax())
+        taken, new = None, images[best][fresh[best]]
+        if len(new) < min(k, np.count_nonzero(~used)):
+            short = True
+            echelon_gamma, echelon_new = echelon(used)
+            if len(echelon_new) > len(new):
+                taken, new = echelon_gamma, echelon_new
         used[new] = True
+        chosen.append((taken, len(new)))
+    if short:
+        q = fld.q
+        # the search's upper bound on d when it asks for the second set
+        target = int(np.count_nonzero(gamma, axis=1).min())
+        ranks = [k] + [r for _, r in chosen]
+        cost = _predicted_words(k, q, target, ranks, 1 + sum(g is not None for g, _ in chosen))
+        alt, left = [], n - k
+        for g, r in echelon_sets(first):
+            alt.append((g, r))
+            left -= r
+            # at best, every echelon set still to come takes k new columns
+            ranks = [k] + [a for _, a in alt] + [k] * (left // k) + [left % k] * (left % k > 0)
+            if cost <= _predicted_words(k, q, target, ranks, len(ranks)):
+                break
+        else:
+            chosen = alt
+    yield from chosen
 
 
 def _level(fld, rows: np.ndarray, w: int, budget: int):
@@ -149,14 +265,20 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     Brouwer-Zimmermann information-set search.
 
     The row space is put in systematic form on a sequence of information
-    sets, each taking new columns first (r_i new columns for gamma_i).
-    For w = 1, 2, ... every message of weight w, up to a scalar, is
-    encoded by every gamma_i, and the least weight seen is an upper bound
-    on d.  A codeword not yet seen has weight above w on each information
-    set, so at least w + 1 - (k - r_i) on the new columns of gamma_i; the
-    sum over i is a lower bound, and the search stops when it reaches the
-    upper bound, or at w = k when every codeword has been seen.  Words are
-    built and weighed in chunks of at most _TABLE_ELEMS elements."""
+    sets, each taking new columns first (r_i new columns for gamma_i);
+    see _information_sets.  For w = 1, 2, ... every message of weight w,
+    up to a scalar, is encoded by every gamma_i, and the least weight seen
+    is an upper bound on d.  A codeword not yet seen has weight above w
+    on each information set, so at least w + 1 - (k - r_i) on the new
+    columns of set i; the sum over i is a lower bound, and the search
+    stops when it reaches the upper bound, or at w = k when every codeword
+    has been seen.  The level w = 1 takes the sets one at a time as they
+    are found and counts each one's w = 0 term (1 if r_i = k) on arrival:
+    a sum over some of the sets is still a lower bound.  A set that is a
+    shift image of the first carries no gamma and is not enumerated: its
+    level-w words are shifted copies of the first set's, which is
+    enumerated first at every level.  Words are built and weighed in
+    chunks of at most _TABLE_ELEMS elements."""
     fld = gm.shape.field
     k, n = gm.k, gm.n
     if k == 0:
@@ -164,17 +286,21 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     total = fld.q**k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    sets = _information_sets(fld, gm.rows)
-    # w = 0: a nonzero codeword is nonzero on each information set, which
-    # lies wholly in the new columns when r_i = k
-    lower = sum(r == k for _, r in sets)
-    best = n + 1
+    sets = []
+    lower, best = 0, n + 1
     for w in range(1, k + 1):
-        for gamma, r in sets:
-            for words, _ in _level(fld, gamma, w, _TABLE_ELEMS):
-                best = min(best, int(np.count_nonzero(words, axis=1).min()))
-                if best <= lower:
-                    return best
+        # level 1 takes each set as it is found; later levels reuse them
+        for gamma, r in _information_sets(gm.shape, gm.rows) if w == 1 else sets:
+            if w == 1:
+                sets.append((gamma, r))
+                # w = 0: a nonzero codeword is nonzero on each information
+                # set, which lies wholly in the new columns when r = k
+                lower += r == k
+            if gamma is not None:  # a shift image repeats the first set's weights
+                for words, _ in _level(fld, gamma, w, _TABLE_ELEMS):
+                    best = min(best, int(np.count_nonzero(words, axis=1).min()))
+                    if best <= lower:
+                        return best
             lower += w >= k - r  # max(0, w + 1 - (k - r)) grew by one
             if best <= lower or w == k:
                 return best

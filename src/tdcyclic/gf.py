@@ -158,15 +158,16 @@ class Field:
 
     def _times(self, c: int) -> np.ndarray:
         """c * a for every encoding a.  Multiplication by c is GF(p)-linear,
-        so digit j of a contributes that digit times c * x^j."""
+        so it is built one digit at a time: c * a for the a below p^(j+1)
+        is c * a for the a below p^j plus t * c * x^j, t = digit j of a,
+        which is m additions over arrays growing to q entries."""
         p = self.p
-        idx = np.arange(self.q, dtype=np.int64)
-        out = np.zeros(self.q, dtype=np.int64)
+        out = np.zeros(1, dtype=np.int64)
         for j in range(self.m):
             cx = self.coords(self._raw_mul(c, p**j))
             multiples = np.array([self.from_coords([t * d for d in cx]) for t in range(p)],
                                  dtype=np.int64)
-            out = self.add_arrays(out, multiples[idx // p**j % p])
+            out = self.add_arrays(multiples[:, None], out[None, :]).ravel()
         return out
 
     def _build_exp_log(self):

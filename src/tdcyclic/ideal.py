@@ -293,18 +293,20 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
     shape = gs.shape
     if f.shape != shape:
         raise ValueError("element does not match the ring shape")
-    s, ell = shape.s, shape.ell
+    fld, s, ell = shape.field, shape.s, shape.ell
     h = f
     coeffs = []
     trace = []
     for k in range(ell):
-        q, r = divmod(h.coord(k).lift(), gs.layers[k].gen.lift() or xs_minus_one(shape.field, s))
+        q, r = divmod(h.coord(k).lift(), gs.layers[k].gen.lift() or xs_minus_one(fld, s))
         if r:
             raise NotMember(k)
-        qk = CyclicPoly.from_poly(q, s)
-        if qk:
-            h = h - gs.gens[k] * qk
-        coeffs.append(qk)
+        if q:
+            # gens[k] * q is q times the rows x^a * gens[k], a <= deg q < s
+            rows = gs.gens[k].arr[shift_source(s, np.arange(len(q.coeffs)))]
+            prod = fld.dot(q.coeffs, rows.reshape(len(q.coeffs), shape.n))
+            h = BiPoly(shape, fld.sub_arrays(h.arr, prod.reshape(s, ell)))
+        coeffs.append(CyclicPoly.from_poly(q, s))
         if want_trace and k < ell - 1:
             trace.append(h)
     return Decomposition(tuple(coeffs), tuple(trace) if want_trace else None)

@@ -334,6 +334,118 @@ def test_min_distance_memory_bounded():
         assert peak < 3 * _TABLE_ELEMS * 8 + (1 << 20), (gm.shape.field, peak)
 
 
+HAMMING7 = [1, 1, 0, 1]                      # 1 + x + x^3: [7, 4, 3]
+BCH15_7 = [1, 0, 0, 0, 1, 0, 1, 1, 1]        # 1 + x^4 + x^6 + x^7 + x^8: [15, 7, 5]
+GOLAY23 = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]  # [23, 12, 7]
+
+
+@pytest.mark.parametrize("s,ell,gx,gy,k,d", [
+    (7, 7, HAMMING7, HAMMING7, 16, 9),
+    (15, 7, BCH15_7, HAMMING7, 28, 15),
+    (23, 3, GOLAY23, [1, 1], 24, 14),  # Golay23 x [3, 2]
+])
+def test_product_code_distances(s, ell, gx, gy, k, d):
+    """<gx(x) gy(y)> over GF(2) is the product of two cyclic codes, whose
+    minimum distance is the product of theirs."""
+    sh, gens = _product_code(F2, s, ell, gx, gy)
+    gm = generator_matrix(extract_generators(sh, gens))
+    assert gm.k == k
+    assert min_distance(gm, cap=1 << k) == d
+
+
+def test_min_distance_eliminates_once_when_the_first_set_settles_d(monkeypatch):
+    """GF(2) 5x5 <x+1>: k=20, d=2.  The first information set's weight-1
+    words reach d and its w=0 and w=1 terms the lower bound, so no later
+    set is computed."""
+    sh, gens = _product_code(F2, 5, 5, [1, 1], [1])
+    gm = generator_matrix(extract_generators(sh, gens))
+    calls = []
+    rref = codegen._rref
+
+    def counting_rref(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(codegen, "_rref", counting_rref)
+    assert min_distance(gm) == 2
+    assert len(calls) == 1
+
+
+def test_shift_images_are_information_sets():
+    """For a code of the ring, every shift image of the first set's pivot
+    columns is an information set: the rows have rank k on it.  The sets
+    the search uses take every column as a new column exactly once."""
+    rng = random.Random(113)
+    checked = 0
+    while checked < 12:
+        F = rng.choice([F2, GF(3), GF(2, 2)])
+        sh = RingShape(F, rng.randint(2, 5), rng.randint(2, 5))
+        gm = generator_matrix(extract_generators(sh, random_generators(rng, sh)))
+        if not 0 < gm.k < gm.n:
+            continue
+        gamma, pivots = codegen._rref(gm.rows, F, range(gm.n))
+        images = codegen._shift_images(sh, gamma, pivots)
+        assert images.shape == (sh.n, gm.k)
+        assert sorted(images[:, 0].tolist()) == list(range(sh.n))  # transitive
+        for cols in images:
+            assert reduced_span(F, gm.k, gm.rows[:, cols]).shape[0] == gm.k
+        assert sum(r for _, r in codegen._information_sets(sh, gm.rows)) == gm.n
+        checked += 1
+
+
+def test_rows_not_closed_under_shifts_get_echelon_sets_only():
+    """A cyclic code's generator matrix with its last row replaced by a
+    vector outside the code spans no code of the ring: the search must
+    not use shift images on it, and d is still exact."""
+    rng = random.Random(127)
+    multi = 0
+    for _ in range(20):
+        F = rng.choice([F2, GF(3)])
+        while True:
+            sh = RingShape(F, rng.randint(2, 4), rng.randint(2, 4))
+            gm = generator_matrix(extract_generators(sh, random_generators(rng, sh)))
+            if 2 <= gm.k < gm.n and F.q**gm.k <= 1 << 12:
+                break
+        rows = gm.rows.copy()
+        while True:
+            rows[-1] = [rng.randrange(F.q) for _ in range(gm.n)]
+            if reduced_span(F, gm.n, np.vstack([gm.rows, rows[-1:]])).shape[0] > gm.k:
+                break
+        assert not check_shift_closure(sh, rows)
+        sets = list(codegen._information_sets(sh, rows))
+        assert all(gamma is not None for gamma, _ in sets)
+        multi += len(sets) > 1
+        assert min_distance(GeneratorMatrix(sh, rows, gm.labels)) == \
+            _least_weight_of_all_messages(F, rows)
+    assert multi >= 10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([1, 20, 300, _TABLE_ELEMS]))
+def test_min_distance_matches_oracle_on_random_ideals(data, budget):
+    """d of random ideals, against the least nonzero weight of the
+    oracle's enumeration of the ideal.  Multiplying the generators by
+    (x - 1)^a (y - 1)^b keeps many ideals away from the whole ring, so
+    later information sets, shift images among them, are needed."""
+    F = data.draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2)]))
+    sh = RingShape(F, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    gens = random_generators(random.Random(data.draw(st.integers(0, 2**32))), sh)
+    factor = BiPoly.one(sh)
+    for i, j in ((1, 0), (0, 1)):
+        if i < sh.s and j < sh.ell:  # x - 1 is zero when s = 1, y - 1 when ell = 1
+            monomial_minus_one = np.zeros((sh.s, sh.ell), dtype=np.int64)
+            monomial_minus_one[0, 0], monomial_minus_one[i, j] = F.neg(1), 1
+            for _ in range(data.draw(st.integers(0, 2))):
+                factor = factor * BiPoly(sh, monomial_minus_one)
+    gens = [g * factor for g in gens]
+    gm = generator_matrix(extract_generators(sh, gens))
+    assume(gm.k > 0 and F.q**gm.k <= 1 << 12)
+    span = enumerate_span(bruteforce_ideal(sh, gens))
+    weights = np.count_nonzero(span, axis=1)
+    with mock.patch.object(codegen, "_TABLE_ELEMS", budget):
+        assert min_distance(gm) == int(weights[weights > 0].min())
+
+
 def test_code_params():
     sh, gens, gs = fixture_gs()
     p = code_params(gs, with_distance=True)
