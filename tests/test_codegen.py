@@ -353,6 +353,23 @@ def test_product_code_distances(s, ell, gx, gy, k, d):
     assert min_distance(gm, cap=1 << k) == d
 
 
+@pytest.mark.parametrize("s,ell,gx,gy,want", [
+    (7, 7, HAMMING7, HAMMING7, [(16, False), (15, True), (14, False), (4, True)]),
+    (23, 4, GOLAY23, [1, 1], [(36, False), (34, True), (22, False)]),  # Golay23 x [4, 3]
+    (15, 7, BCH15_7, HAMMING7, [(28, False)] * 3 + [(16, False), (4, False), (1, False)]),
+])
+def test_information_sets_keep_the_cheaper_sequence(s, ell, gx, gy, want):
+    """(r_i, shift image?) of each set.  On these codes some shift image
+    takes fewer new columns than a set could, so the search compares the
+    images mixed with echelon sets against the echelon sets alone and
+    keeps the one that predicts fewer words.  Two codes keep the mixed
+    sequence; on BCH[15,7] x Hamming7 the images pack the columns worse
+    and the echelon sets alone are kept."""
+    sh, gens = _product_code(F2, s, ell, gx, gy)
+    gm = generator_matrix(extract_generators(sh, gens))
+    assert [(r, gamma is None) for gamma, r in codegen._information_sets(sh, gm.rows)] == want
+
+
 def test_min_distance_eliminates_once_when_the_first_set_settles_d(monkeypatch):
     """GF(2) 5x5 <x+1>: k=20, d=2.  The first information set's weight-1
     words reach d and its w=0 and w=1 terms the lower bound, so no later
