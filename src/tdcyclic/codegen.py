@@ -22,9 +22,15 @@ echelon form on the unused columns is computed only when no image takes
 as many new columns as a set could, and the echelon sets alone are kept
 when they predict fewer words.  Shift closure is tested on the rows, not
 assumed: rows that are not closed get echelon sets only.
-Each weight level is built from the one below by adding one scaled row,
-in chunks of at most ``_TABLE_ELEMS`` entries, so the working set stays
-a few chunk-sized arrays over every field, however long the code is.
+The search does only the work its bounds use.  A set is enumerated only
+once its lower-bound term is positive, catching up its lower levels
+then, and the next set is asked for only when a set could raise the
+lower bound at the current level.  Each weight level is grown from the
+one below by adding one scaled row, in chunks of at most
+``_TABLE_ELEMS`` entries; a set keeps its last level when that fits the
+budget, and rebuilds it from weight 1 otherwise.  Kept words count
+against the same budget, so the working set stays a few chunk-sized
+arrays over every field, however long the code is.
 """
 
 from __future__ import annotations
@@ -129,16 +135,20 @@ def _shift_images(shape: RingShape, gamma: np.ndarray, pivots) -> np.ndarray | N
     return (rows_i[:, None] * ell + cols_j[None, :]).reshape(-1, k)
 
 
-def _predicted_words(k: int, q: int, target: int, ranks, enumerated: int) -> int:
+def _predicted_words(k: int, q: int, target: int, ranks, enumerated) -> int:
     """Words the search encodes before its lower bound reaches target, on
-    information sets with r_i = ranks new columns, of which the first
-    `enumerated` are enumerated: the sum over levels w of
-    enumerated * C(k, w) * (q - 1)^(w - 1)."""
-    lower, words = sum(r == k for r in ranks), 0
+    information sets with r_i = ranks new columns, of which the sets with
+    r_i = enumerated (a sub-list of ranks) are enumerated.  Level w holds
+    C(k, w) * (q - 1)^(w - 1) words.  A set's words count only from level
+    max(1, k - r_i), where its lower-bound term turns positive and the
+    search first enumerates it, and there they include its lower levels."""
+    lower, words, below = sum(r == k for r in ranks), 0, 0
     for w in range(1, k + 1):
         if lower >= target:
             break
-        words += enumerated * comb(k, w) * (q - 1) ** (w - 1)
+        level = comb(k, w) * (q - 1) ** (w - 1)
+        words += sum(level + below * (w == max(1, k - r)) for r in enumerated if w >= k - r)
+        below += level
         lower += sum(w >= k - r for r in ranks)
     return words
 
@@ -161,8 +171,8 @@ def _information_sets(shape: RingShape, rows: np.ndarray):
     than echelon sets, so that later sets take fewer.  So when some image
     fell short, the echelon sets alone are built as well, as far as they
     might still be cheaper, and kept if they predict fewer words up to
-    gamma_1's least row weight, the search's upper bound when it asks for
-    the second set.  Rows that are not closed get echelon sets only.
+    gamma_1's least row weight, the search's upper bound once it can ask
+    for the second set.  Rows that are not closed get echelon sets only.
 
     No set is sought once no row is nonzero on an unused column, so no
     elimination comes back without a new column.  Shift-closed rows have
@@ -208,44 +218,50 @@ def _information_sets(shape: RingShape, rows: np.ndarray):
         chosen.append((taken, len(new)))
     if short:
         q = fld.q
-        # the search's upper bound on d when it asks for the second set
+        # the search's upper bound on d once the first set's level 1 is seen
         target = int(np.count_nonzero(gamma, axis=1).min())
         ranks = [k] + [r for _, r in chosen]
-        cost = _predicted_words(k, q, target, ranks, 1 + sum(g is not None for g, _ in chosen))
+        cost = _predicted_words(k, q, target, ranks, [k] + [r for g, r in chosen if g is not None])
         alt, left = [], n - k
         for g, r in echelon_sets(first):
             alt.append((g, r))
             left -= r
             # at best, every echelon set still to come takes k new columns
             ranks = [k] + [a for _, a in alt] + [k] * (left // k) + [left % k] * (left % k > 0)
-            if cost <= _predicted_words(k, q, target, ranks, len(ranks)):
+            if cost <= _predicted_words(k, q, target, ranks, ranks):
                 break
         else:
             chosen = alt
     yield from chosen
 
 
-def _level(fld, rows: np.ndarray, w: int, budget: int):
+def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
     """Yield chunks (words, last) covering the codewords of every message
     of Hamming weight w whose first nonzero coefficient is 1; last[i] is
     the index of the last nonzero coefficient of the message of words[i],
     nondecreasing within a chunk.
 
     A weight-w message with last index t is a weight-(w-1) message with
-    last index below t plus c * rows[t], c != 0.  A chunk holds at most
-    max(budget, n) elements; level w - 1 is rebuilt with half the budget,
-    so all levels in flight together stay within twice the budget.  A
-    chunk of level w >= 2 is a view of one reused buffer: it is valid
-    until the next chunk is requested."""
+    last index below t plus c * rows[t], c != 0, so one loop grows level w
+    from the chunks of level w - 1: `below`, each of at most budget
+    elements, or else _level(w - 1) rebuilt with half the budget, so all
+    levels in flight together stay within twice the budget.  A chunk
+    holds at most max(budget, n) elements.  A chunk of level w >= 2 is a
+    view of one buffer, no larger than the level, which is reused until
+    the level ends: a chunk is valid until the next one is requested, and
+    the last one stays valid."""
     k, n = rows.shape
     step = max(1, budget // n)
     if w == 1:
         for a in range(0, k, step):
             yield rows[a:a + step], np.arange(a, min(a + step, k))
         return
+    if below is None:
+        below = _level(fld, rows, w - 1, budget // 2)
+    step = min(step, comb(k, w) * (fld.q - 1) ** (w - 1))
     out = np.empty((step, n), dtype=np.int64)
     out_last = np.empty(step, dtype=np.int64)
-    for words, last in _level(fld, rows, w - 1, budget // 2):
+    for words, last in below:
         size = 0
         for t in range(int(last[0]) + 1, k):
             base = words[:np.searchsorted(last, t)]
@@ -260,6 +276,15 @@ def _level(fld, rows: np.ndarray, w: int, budget: int):
             yield out[:size], out_last[:size]
 
 
+def _keep_level(k: int, q: int, n: int, w: int, budget: int) -> bool:
+    """Whether the search keeps level w, built with this budget, to grow
+    level w + 1 from: when _level(w, budget // 2) would yield it in one
+    chunk, each level i <= w fitting whole in budget >> (w + 1 - i), so
+    that the growth is _level(w + 1, budget) itself."""
+    return all(comb(k, i) * (q - 1) ** (i - 1) * n <= budget >> (w + 1 - i)
+               for i in range(1, w + 1))
+
+
 def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     """Minimum Hamming weight of a nonzero codeword, by the
     Brouwer-Zimmermann information-set search.
@@ -267,18 +292,32 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     The row space is put in systematic form on a sequence of information
     sets, each taking new columns first (r_i new columns for gamma_i);
     see _information_sets.  For w = 1, 2, ... every message of weight w,
-    up to a scalar, is encoded by every gamma_i, and the least weight seen
-    is an upper bound on d.  A codeword not yet seen has weight above w
-    on each information set, so at least w + 1 - (k - r_i) on the new
-    columns of set i; the sum over i is a lower bound, and the search
-    stops when it reaches the upper bound, or at w = k when every codeword
-    has been seen.  The level w = 1 takes the sets one at a time as they
-    are found and counts each one's w = 0 term (1 if r_i = k) on arrival:
-    a sum over some of the sets is still a lower bound.  A set that is a
-    shift image of the first carries no gamma and is not enumerated: its
-    level-w words are shifted copies of the first set's, which is
-    enumerated first at every level.  Words are built and weighed in
-    chunks of at most _TABLE_ELEMS elements."""
+    up to a scalar, is encoded by gamma_i, and the least weight seen is
+    an upper bound on d.  Once set i has encoded every level up to w, a
+    codeword not yet seen has weight above w on it, so at least
+    w + 1 - (k - r_i) on its new columns; the sum of these terms over the
+    sets is a lower bound, and the search stops when it reaches the upper
+    bound, or at w = k, when the first set (r_1 = k) has encoded every
+    message.  The search does only the work its bounds use:
+
+    - A set whose term max(0, w + 1 - (k - r_i)) is still 0 is not
+      enumerated.  When w reaches k - r_i it catches up its lower levels
+      first, and only then is its term counted.
+    - The next set is asked of _information_sets only when a set taking
+      min(k, unused columns) new columns, the most any set can take,
+      would raise the lower bound at this level; its whole term is added
+      when it arrives (1 for r_i = k before any level: a nonzero codeword
+      is nonzero on every information set).  A set that is a shift image
+      of the first carries no gamma and is never enumerated: its words
+      are shifted copies of the first set's, of the same weights, and the
+      first set is at level w before any later set is.
+    - Each set grows level w from its level w - 1, kept from the round
+      before when _level(w - 1, budget // 2) would give it in one chunk
+      (so the growth is exactly _level(w, budget)); any other level is
+      rebuilt by _level from weight 1.  A set's budget is _TABLE_ELEMS
+      less the words the other sets keep, so kept words count against
+      it, and the working set stays a few arrays of _TABLE_ELEMS
+      elements."""
     fld = gm.shape.field
     k, n = gm.k, gm.n
     if k == 0:
@@ -286,24 +325,51 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     total = fld.q**k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    sets = []
-    lower, best = 0, n + 1
+
+    def term(r, done):  # a set's lower-bound term once its levels 1..done are seen
+        return max(0, done + 1 - (k - r))
+
+    source = _information_sets(gm.shape, gm.rows)
+    sets = []  # [gamma, r, levels done, kept level]
+    lower, best, free, held = 0, n + 1, n, 0
     for w in range(1, k + 1):
-        # level 1 takes each set as it is found; later levels reuse them
-        for gamma, r in _information_sets(gm.shape, gm.rows) if w == 1 else sets:
-            if w == 1:
-                sets.append((gamma, r))
-                # w = 0: a nonzero codeword is nonzero on each information
-                # set, which lies wholly in the new columns when r = k
-                lower += r == k
-            if gamma is not None:  # a shift image repeats the first set's weights
-                for words, _ in _level(fld, gamma, w, _TABLE_ELEMS):
+        i = 0
+        while best > lower:
+            if i == len(sets):
+                if source is None or w < k - min(k, free):
+                    break
+                found = next(source, None)
+                if found is None:
+                    source = None
+                    break
+                sets.append([*found, 0, None])
+                free -= found[1]
+                lower += term(found[1], 0)
+            entry = sets[i]
+            i += 1
+            gamma, r, done, kept = entry
+            if gamma is None:  # a shift image: the first set has done level w
+                lower += term(r, w) - term(r, done)
+                entry[2] = w
+                continue
+            if w < k - r:  # deferred while its term is 0
+                continue
+            while done < w and best > lower:  # catch up to level w
+                done += 1
+                own = 0 if kept is None else kept[0].size
+                budget = _TABLE_ELEMS - held + own
+                keep = _keep_level(k, fld.q, n, done, budget)
+                for words, last in _level(fld, gamma, done, budget,
+                                          None if kept is None else [kept]):
                     best = min(best, int(np.count_nonzero(words, axis=1).min()))
                     if best <= lower:
                         return best
-            lower += w >= k - r  # max(0, w + 1 - (k - r)) grew by one
-            if best <= lower or w == k:
-                return best
+                kept = (words, last) if keep else None  # then level done came in one chunk
+                held += (0 if kept is None else kept[0].size) - own
+                lower += term(r, done) - term(r, done - 1)
+                entry[2:] = done, kept
+        if best <= lower or w == k:
+            return best
 
 
 def code_params(gs: GeneratorSet, with_distance: bool = False,

@@ -289,6 +289,33 @@ def test_levels_hold_each_message_once(budget):
             assert sorted(got) == sorted(want), (fld, w)
 
 
+@pytest.mark.parametrize("budget", [1, 9, 40, _TABLE_ELEMS])
+def test_levels_grown_from_the_kept_level_match_rebuilt_ones(budget):
+    """The search keeps level w - 1 when _level(w - 1, budget // 2) would
+    give it in one chunk, and grows level w from it: the same words and
+    last indices, in the same order, as _level(w, budget) rebuilding every
+    level from weight 1.  At budget 1 no level fits, so none is kept."""
+    rng = random.Random(budget)
+    grown = 0
+    for k, n in ((5, 4), (4, 1)):
+        for fld in (F2, GF(3), GF(2, 2)):
+            rows = np.array([[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)])
+            kept = None
+            for w in range(1, k + 1):
+                below = None if kept is None else [kept]
+                got = [(words.tolist(), last.tolist())
+                       for words, last in codegen._level(fld, rows, w, budget, below)]
+                want = [(words.tolist(), last.tolist())
+                        for words, last in codegen._level(fld, rows, w, budget)]
+                assert got == want, (fld, k, n, w)
+                grown += kept is not None
+                kept = None
+                if codegen._keep_level(k, fld.q, n, w, budget):
+                    assert len(got) == 1
+                    kept = tuple(np.array(a) for a in got[0])
+    assert grown > 0 or budget == 1
+
+
 def test_min_distance_stops_early(monkeypatch):
     """GF(2) 5x5 <x+1>: k=20, n=25, d=2, q^k at the 2^20 cap.  The
     information sets prove d=2 from a few hundred words at most, far
@@ -343,6 +370,7 @@ GOLAY23 = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]  # [23, 12, 7]
     (7, 7, HAMMING7, HAMMING7, 16, 9),
     (15, 7, BCH15_7, HAMMING7, 28, 15),
     (23, 3, GOLAY23, [1, 1], 24, 14),  # Golay23 x [3, 2]
+    (15, 9, BCH15_7, [1, 1], 56, 10),  # BCH[15,7] x [9, 8]
 ])
 def test_product_code_distances(s, ell, gx, gy, k, d):
     """<gx(x) gy(y)> over GF(2) is the product of two cyclic codes, whose
@@ -351,6 +379,59 @@ def test_product_code_distances(s, ell, gx, gy, k, d):
     gm = generator_matrix(extract_generators(sh, gens))
     assert gm.k == k
     assert min_distance(gm, cap=1 << k) == d
+
+
+@pytest.mark.parametrize("s,ell,gx,gy,ranks,d,enumerated", [
+    (15, 7, BCH15_7, HAMMING7, [28, 28, 28, 16, 4, 1], 15, {0, 1, 2}),
+    (7, 7, HAMMING7, HAMMING7, [16, 15, 14, 4], 9, {0, 2}),
+])
+def test_min_distance_defers_sets_whose_term_is_zero(monkeypatch, s, ell, gx, gy,
+                                                     ranks, d, enumerated):
+    """A set is enumerated only once the search reaches the level
+    w = k - r_i at which its lower-bound term turns positive; it then
+    catches up its lower levels.  BCH[15,7] x Hamming7 (k=28) settles d at
+    level 4, so its sets with r = 16, 4 and 1 are never enumerated.  On
+    Hamming7 x Hamming7 (k=16) the set with r = 14 waits for level 2, and
+    shift images (r = 15, 4) are never enumerated."""
+    sh, gens = _product_code(F2, s, ell, gx, gy)
+    gm = generator_matrix(extract_generators(sh, gens))
+    sets = list(codegen._information_sets(sh, gm.rows))
+    assert [r for _, r in sets] == ranks
+    built = []  # (set, level) in the order the levels are built
+    level = codegen._level
+
+    def recording_level(fld, rows, w, *args):
+        built.append((next(i for i, (gamma, _) in enumerate(sets)
+                           if np.array_equal(gamma, rows)), w))
+        return level(fld, rows, w, *args)
+
+    monkeypatch.setattr(codegen, "_level", recording_level)
+    assert min_distance(gm, cap=1 << gm.k) == d
+    for at, (i, _) in enumerate(built):
+        search_level = max(w for j, w in built[:at + 1] if j == 0)
+        assert search_level >= gm.k - ranks[i], (i, built[:at + 1])
+    assert {i for i, _ in built} == enumerated
+
+
+def test_min_distance_asks_for_a_set_only_when_it_could_raise_the_bound(monkeypatch):
+    """GF(2) 7x3 <1 + x + x^3>, Hamming7 x [3, 3]: k=12, n=21, d=3.  A
+    second set takes at most 9 new columns, so its term is 0 below level
+    3, while the first set settles d at level 2: only the first set is
+    asked for."""
+    sh, gens = _product_code(F2, 7, 3, HAMMING7, [1])
+    gm = generator_matrix(extract_generators(sh, gens))
+    assert [r for _, r in codegen._information_sets(sh, gm.rows)] == [12, 9]
+    asked = []
+    information_sets = codegen._information_sets
+
+    def recording_information_sets(*args):
+        for gamma, r in information_sets(*args):
+            asked.append(r)
+            yield gamma, r
+
+    monkeypatch.setattr(codegen, "_information_sets", recording_information_sets)
+    assert min_distance(gm) == 3
+    assert asked == [12]
 
 
 @pytest.mark.parametrize("s,ell,gx,gy,want", [
