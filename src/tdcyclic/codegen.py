@@ -11,8 +11,7 @@ on q^k, desk scale only.  The matrix is put in systematic form on
 information sets that take new columns first.  Messages of weight
 w = 1, 2, ... are encoded on each of them, which lowers an upper bound
 on d, while the weight every unseen codeword must carry on the new
-columns raises a lower bound; the search stops when the bounds meet.
-Sets after the first are computed only when the search needs them.  A
+columns raises a lower bound; the search stops when the bounds meet.  A
 code of the ring is closed under the s*ell shifts x^a y^b, which move
 the coordinates transitively, so a shift image of the first information
 set is an information set too, whose words are shifted copies of the
@@ -22,15 +21,17 @@ echelon form on the unused columns is computed only when no image takes
 as many new columns as a set could, and the echelon sets alone are kept
 when they predict fewer words.  Shift closure is tested on the rows, not
 assumed: rows that are not closed get echelon sets only.
-The search does only the work its bounds use.  A set is enumerated only
-once its lower-bound term is positive, catching up its lower levels
-then, and the next set is asked for only when a set could raise the
-lower bound at the current level.  Each weight level is grown from the
-one below by adding one scaled row, in chunks of at most
-``_TABLE_ELEMS`` entries; a set keeps its last level when that fits the
-budget, and rebuilds it from weight 1 otherwise.  Kept words count
-against the same budget, so the working set stays a few chunk-sized
-arrays over every field, however long the code is.
+
+The search does only the work its bounds use, and works both bounds out
+from each set's levels done.  The sets after the first are taken in one
+pull, at the first level where one of them could raise the lower bound.
+A set is enumerated only once its lower-bound term is positive, catching
+up its lower levels then.  Each weight level is grown from the one below
+by adding one scaled row, in chunks of at most ``_TABLE_ELEMS`` entries;
+a set keeps its last level when that fits the budget, and rebuilds it
+from weight 1 otherwise.  Kept words count against the same budget, so
+the working set stays a few chunk-sized arrays over every field, however
+long the code is.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ def _predicted_words(k: int, q: int, target: int, ranks, enumerated) -> int:
 def _information_sets(shape: RingShape, rows: np.ndarray):
     """Yield information sets (gamma_i, r_i) of the row space of rows.
     Set i takes r_i new columns that no earlier set took, so the new
-    columns of different sets are disjoint.  The sets after the first are
-    computed only when the search asks for the second.
+    columns of different sets are disjoint.  The search takes the sets
+    after the first in one pull, and only when one of them could raise its
+    lower bound; for shift-closed rows they are all computed then.
 
     The first set is the reduced echelon form gamma_1 with its pivots I
     sought in column order, r_1 = k.  An echelon set is the echelon form
@@ -289,87 +291,79 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     """Minimum Hamming weight of a nonzero codeword, by the
     Brouwer-Zimmermann information-set search.
 
-    The row space is put in systematic form on a sequence of information
-    sets, each taking new columns first (r_i new columns for gamma_i);
-    see _information_sets.  For w = 1, 2, ... every message of weight w,
-    up to a scalar, is encoded by gamma_i, and the least weight seen is
-    an upper bound on d.  Once set i has encoded every level up to w, a
-    codeword not yet seen has weight above w on it, so at least
-    w + 1 - (k - r_i) on its new columns; the sum of these terms over the
-    sets is a lower bound, and the search stops when it reaches the upper
-    bound, or at w = k, when the first set (r_1 = k) has encoded every
-    message.  The search does only the work its bounds use:
+    The row space, of dimension k (the rank of the rows), is put in
+    systematic form on a sequence of information sets, each taking new
+    columns first (r_i new columns for gamma_i); see _information_sets.
+    For w = 1, 2, ... every message of weight w, up to a scalar, is
+    encoded by gamma_i, and the least weight seen is an upper bound on d.
+    Once set i has encoded every level up to w, a codeword not yet seen
+    has weight above w on it, so at least w + 1 - (k - r_i) on its new
+    columns; the sum of these terms over the sets is a lower bound,
+    worked out afresh from each set's levels done.  The search stops when
+    it reaches the upper bound, or at w = k, when the first set (r_1 = k)
+    has encoded every message.  It does only the work its bounds use:
 
+    - The later sets are taken in one pull, if d is not settled once the
+      first set has done level w = max(1, k - min(k, n - k)): there a set
+      with min(k, n - k) new columns, the most a later set can take,
+      first has a positive term, and below it every later term is 0.  A
+      shift image of the first set carries no gamma and is never
+      enumerated: its words are shifted copies of the first set's, of
+      the same weights, so its term follows the first set's levels done.
     - A set whose term max(0, w + 1 - (k - r_i)) is still 0 is not
       enumerated.  When w reaches k - r_i it catches up its lower levels
       first, and only then is its term counted.
-    - The next set is asked of _information_sets only when a set taking
-      min(k, unused columns) new columns, the most any set can take,
-      would raise the lower bound at this level; its whole term is added
-      when it arrives (1 for r_i = k before any level: a nonzero codeword
-      is nonzero on every information set).  A set that is a shift image
-      of the first carries no gamma and is never enumerated: its words
-      are shifted copies of the first set's, of the same weights, and the
-      first set is at level w before any later set is.
-    - Each set grows level w from its level w - 1, kept from the round
-      before when _level(w - 1, budget // 2) would give it in one chunk
-      (so the growth is exactly _level(w, budget)); any other level is
-      rebuilt by _level from weight 1.  A set's budget is _TABLE_ELEMS
-      less the words the other sets keep, so kept words count against
-      it, and the working set stays a few arrays of _TABLE_ELEMS
-      elements."""
+    - Each set grows level w from its level w - 1, kept when
+      _level(w - 1, budget // 2) would give it in one chunk (so the
+      growth is exactly _level(w, budget)); any other level is rebuilt by
+      _level from weight 1.  A set's budget is _TABLE_ELEMS less the
+      words the other sets keep, so the working set stays a few arrays
+      of _TABLE_ELEMS elements."""
     fld = gm.shape.field
-    k, n = gm.k, gm.n
-    if k == 0:
-        raise ValueError("minimum distance is undefined for a dimension-0 code")
-    total = fld.q**k
+    n = gm.n
+    total = fld.q**gm.k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-
-    def term(r, done):  # a set's lower-bound term once its levels 1..done are seen
-        return max(0, done + 1 - (k - r))
-
     source = _information_sets(gm.shape, gm.rows)
-    sets = []  # [gamma, r, levels done, kept level]
-    lower, best, free, held = 0, n + 1, n, 0
+    gamma, k = next(source)
+    if k == 0:
+        raise ValueError("minimum distance is undefined for a dimension-0 code")
+    sets = [[gamma, k, 0, None]]  # enumerated: [gamma, r, levels done, kept level]
+    images = []  # r of each shift image
+
+    def lower():
+        first = sets[0][2]
+        return (sum(max(0, done + 1 - (k - r)) for _, r, done, _ in sets)
+                + sum(max(0, first + 1 - (k - r)) for r in images))
+
+    best = n + 1
     for w in range(1, k + 1):
-        i = 0
-        while best > lower:
-            if i == len(sets):
-                if source is None or w < k - min(k, free):
-                    break
-                found = next(source, None)
-                if found is None:
-                    source = None
-                    break
-                sets.append([*found, 0, None])
-                free -= found[1]
-                lower += term(found[1], 0)
-            entry = sets[i]
-            i += 1
+        for entry in sets:  # sets pulled in this round are taken in it too
             gamma, r, done, kept = entry
-            if gamma is None:  # a shift image: the first set has done level w
-                lower += term(r, w) - term(r, done)
-                entry[2] = w
-                continue
             if w < k - r:  # deferred while its term is 0
                 continue
-            while done < w and best > lower:  # catch up to level w
+            while done < w:  # catch up to level w
+                bound = lower()
+                if best <= bound:
+                    return best
                 done += 1
-                own = 0 if kept is None else kept[0].size
-                budget = _TABLE_ELEMS - held + own
+                budget = _TABLE_ELEMS - sum(other[3][0].size for other in sets
+                                            if other is not entry and other[3] is not None)
                 keep = _keep_level(k, fld.q, n, done, budget)
                 for words, last in _level(fld, gamma, done, budget,
                                           None if kept is None else [kept]):
                     best = min(best, int(np.count_nonzero(words, axis=1).min()))
-                    if best <= lower:
+                    if best <= bound:
                         return best
                 kept = (words, last) if keep else None  # then level done came in one chunk
-                held += (0 if kept is None else kept[0].size) - own
-                lower += term(r, done) - term(r, done - 1)
                 entry[2:] = done, kept
-        if best <= lower or w == k:
-            return best
+            if entry is sets[0] and w == max(1, k - min(k, n - k)) and best > lower():
+                for later, r_later in source:
+                    if later is None:
+                        images.append(r_later)
+                    else:
+                        sets.append([later, r_later, 0, None])
+    return best
 
 
 def code_params(gs: GeneratorSet, with_distance: bool = False,

@@ -138,6 +138,13 @@ def test_min_distance_examples():
         min_distance(zero)
     with pytest.raises(TooLargeError):
         min_distance(generator_matrix(unit), cap=3)
+    # hand-built matrices: the search runs on the rank of the rows
+    for k in (1, 3):
+        with pytest.raises(ValueError):
+            min_distance(GeneratorMatrix(sh, np.zeros((k, sh.n), dtype=np.int64), ((0, 0),) * k))
+    gm = generator_matrix(gs)
+    repeated = GeneratorMatrix(sh, gm.rows[[0, 1, 0]], gm.labels + gm.labels[:1])
+    assert min_distance(repeated) == 2
 
 
 def test_min_distance_matches_exhaustive_codeword_scan():
@@ -449,6 +456,37 @@ def test_information_sets_keep_the_cheaper_sequence(s, ell, gx, gy, want):
     sh, gens = _product_code(F2, s, ell, gx, gy)
     gm = generator_matrix(extract_generators(sh, gens))
     assert [(r, gamma is None) for gamma, r in codegen._information_sets(sh, gm.rows)] == want
+
+
+def test_min_distance_counts_a_shift_image_from_the_first_sets_levels():
+    """GF(2) 3x6, one generator: k=6, n=18, d=6 by the oracle's own
+    enumeration.  Its sets are one echelon set and two shift images, each
+    with r = 6.  An image's term is max(0, w + 1 - (k - r)) once the first
+    set has done level w; counted one level early, the lower bound reaches
+    8 before any word of weight 6 is seen, and the search returns 8."""
+    sh = RingShape(F2, 3, 6)
+    gens = [BiPoly(sh, [[0, 1, 1, 1, 1, 0], [0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 0]])]
+    gm = generator_matrix(extract_generators(sh, gens))
+    assert (gm.k, gm.n) == (6, 18)
+    span = enumerate_span(bruteforce_ideal(sh, gens))
+    weights = np.count_nonzero(span, axis=1)
+    assert int(weights[weights > 0].min()) == 6
+    sets = codegen._information_sets(sh, gm.rows)
+    assert [(r, gamma is None) for gamma, r in sets] == [(6, False), (6, True), (6, True)]
+    assert min_distance(gm) == 6
+
+
+@pytest.mark.parametrize("k,q,target,ranks,enumerated,words", [
+    (4, 2, 3, [4], [4], 10),
+    # the r = 2 set counts first at level 2 = k - r, with its level 1
+    (4, 2, 4, [4, 2], [4, 2], 20),
+    # the same set as a shift image raises the bound but is never enumerated
+    (4, 2, 4, [4, 2], [4], 10),
+    # level w holds C(k, w) * (q - 1)^(w - 1) words: 4 + 6 * 2
+    (4, 3, 3, [4], [4], 16),
+])
+def test_predicted_words_by_hand(k, q, target, ranks, enumerated, words):
+    assert codegen._predicted_words(k, q, target, ranks, enumerated) == words
 
 
 def test_min_distance_eliminates_once_when_the_first_set_settles_d(monkeypatch):
