@@ -16,11 +16,12 @@ code of the ring is closed under the s*ell shifts x^a y^b, which move
 the coordinates transitively, so a shift image of the first information
 set is an information set too, whose words are shifted copies of the
 first set's, of the same weights (the automorphism refinement of Grassl
-2006).  Such images raise the lower bound but are never enumerated.  An
-echelon form on the unused columns is computed only when no image takes
-as many new columns as a set could, and the echelon sets alone are kept
-when they predict fewer words.  Shift closure is tested on the rows, not
-assumed: rows that are not closed get echelon sets only.
+2006).  Such images raise the lower bound but are never enumerated.  The
+later sets form one greedy sequence: an echelon form on the unused
+columns is computed only when no image takes as many new columns as a
+set could, and taken only when it takes more than the best image.  Shift
+closure is tested on the rows, not assumed: rows that are not closed get
+echelon sets only.
 
 The search does only the work its bounds use, and works both bounds out
 from each set's levels done.  The sets after the first are taken in one
@@ -52,11 +53,21 @@ _TABLE_ELEMS = 1 << 19
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """k x (s*ell) matrix over the field in codeword (row-major) order,
-    with a (layer, x-shift) label per row."""
+    with a (layer, x-shift) label per row.  The rows must have shape
+    (len(labels), n); their entries are taken mod q into a read-only copy."""
 
     shape: RingShape
     rows: np.ndarray
     labels: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.shape != (len(self.labels), self.shape.n):
+            raise ValueError(f"rows of shape {rows.shape} do not match "
+                             f"(len(labels), n) = ({len(self.labels)}, {self.shape.n})")
+        rows = rows % self.shape.field.q
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def k(self) -> int:
@@ -96,7 +107,6 @@ def generator_matrix(gs: GeneratorSet) -> GeneratorMatrix:
     arrs = np.stack([g.arr for g in gs.gens])
     # row (j, a) is x^a * gens[j]
     mat = arrs[layer[:, None], shift_source(s, shift)].reshape(-1, shape.n)
-    mat.setflags(write=False)
     return GeneratorMatrix(shape, mat, labels)
 
 
@@ -136,45 +146,22 @@ def _shift_images(shape: RingShape, gamma: np.ndarray, pivots) -> np.ndarray | N
     return (rows_i[:, None] * ell + cols_j[None, :]).reshape(-1, k)
 
 
-def _predicted_words(k: int, q: int, target: int, ranks, enumerated) -> int:
-    """Words the search encodes before its lower bound reaches target, on
-    information sets with r_i = ranks new columns, of which the sets with
-    r_i = enumerated (a sub-list of ranks) are enumerated.  Level w holds
-    C(k, w) * (q - 1)^(w - 1) words.  A set's words count only from level
-    max(1, k - r_i), where its lower-bound term turns positive and the
-    search first enumerates it, and there they include its lower levels."""
-    lower, words, below = sum(r == k for r in ranks), 0, 0
-    for w in range(1, k + 1):
-        if lower >= target:
-            break
-        level = comb(k, w) * (q - 1) ** (w - 1)
-        words += sum(level + below * (w == max(1, k - r)) for r in enumerated if w >= k - r)
-        below += level
-        lower += sum(w >= k - r for r in ranks)
-    return words
-
-
 def _information_sets(shape: RingShape, rows: np.ndarray):
-    """Yield information sets (gamma_i, r_i) of the row space of rows.
-    Set i takes r_i new columns that no earlier set took, so the new
-    columns of different sets are disjoint.  The search takes the sets
-    after the first in one pull, and only when one of them could raise its
-    lower bound; for shift-closed rows they are all computed then.
+    """Yield information sets (gamma_i, r_i) of the row space of rows, one
+    at a time as they are found.  Set i takes r_i new columns that no
+    earlier set took, so the new columns of different sets are disjoint.
 
     The first set is the reduced echelon form gamma_1 with its pivots I
     sought in column order, r_1 = k.  An echelon set is the echelon form
     with the unused columns sought first.  If the rows are closed under
     the shifts x^a y^b, as every code of the ring is, each shift image
     sigma(I) is an information set too, whose words are the sigma-images
-    of gamma_1's; it is yielded as (None, r_i).  Each later set is then
-    the image with the most new columns if it takes min(k, unused
-    columns), the most any set can take; otherwise the echelon set, unless
-    the image takes at least as many.  Images can pack the columns worse
-    than echelon sets, so that later sets take fewer.  So when some image
-    fell short, the echelon sets alone are built as well, as far as they
-    might still be cheaper, and kept if they predict fewer words up to
-    gamma_1's least row weight, the search's upper bound once it can ask
-    for the second set.  Rows that are not closed get echelon sets only.
+    of gamma_1's; it is yielded as (None, r_i).  Each later set is the
+    image with the most new columns if it takes min(k, unused columns),
+    the most any set can take.  Otherwise the echelon set is computed,
+    and taken if it takes strictly more new columns than that image; the
+    image is taken if not.  Rows that are not closed get echelon sets
+    only.
 
     No set is sought once no row is nonzero on an unused column, so no
     elimination comes back without a new column.  Shift-closed rows have
@@ -182,59 +169,28 @@ def _information_sets(shape: RingShape, rows: np.ndarray):
     for them that is when every column is used."""
     fld = shape.field
     k, n = rows.shape
-    found = {}
 
     def echelon(used):
-        key = used.tobytes()
-        if key not in found:
-            gamma, pivots = _rref(rows, fld, np.argsort(used, kind="stable"))  # unused first
-            found[key] = gamma, [c for c in pivots if not used[c]]
-        return found[key]
+        gamma, pivots = _rref(rows, fld, np.argsort(used, kind="stable"))  # unused first
+        return gamma, [c for c in pivots if not used[c]]
 
-    def echelon_sets(used):
-        used = used.copy()
-        while rows[:, ~used].any():
-            gamma, new = echelon(used)
-            used[new] = True
-            yield gamma, len(new)
-
-    first = np.zeros(n, dtype=bool)
-    gamma, pivots = echelon(first)
-    first[pivots] = True
+    used = np.zeros(n, dtype=bool)
+    gamma, pivots = echelon(used)
+    used[pivots] = True
     yield gamma, len(pivots)
     images = _shift_images(shape, gamma, pivots)
-    if images is None:
-        yield from echelon_sets(first)
-        return
-    chosen, used, short = [], first.copy(), False
     while rows[:, ~used].any():
-        fresh = ~used[images]
-        best = int(fresh.sum(axis=1).argmax())
-        taken, new = None, images[best][fresh[best]]
+        taken, new = None, []
+        if images is not None:
+            fresh = ~used[images]
+            best = int(fresh.sum(axis=1).argmax())
+            new = images[best][fresh[best]]
         if len(new) < min(k, np.count_nonzero(~used)):
-            short = True
             echelon_gamma, echelon_new = echelon(used)
             if len(echelon_new) > len(new):
                 taken, new = echelon_gamma, echelon_new
         used[new] = True
-        chosen.append((taken, len(new)))
-    if short:
-        q = fld.q
-        # the search's upper bound on d once the first set's level 1 is seen
-        target = int(np.count_nonzero(gamma, axis=1).min())
-        ranks = [k] + [r for _, r in chosen]
-        cost = _predicted_words(k, q, target, ranks, [k] + [r for g, r in chosen if g is not None])
-        alt, left = [], n - k
-        for g, r in echelon_sets(first):
-            alt.append((g, r))
-            left -= r
-            # at best, every echelon set still to come takes k new columns
-            ranks = [k] + [a for _, a in alt] + [k] * (left // k) + [left % k] * (left % k > 0)
-            if cost <= _predicted_words(k, q, target, ranks, ranks):
-                break
-        else:
-            chosen = alt
-    yield from chosen
+        yield taken, len(new)
 
 
 def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):

@@ -145,6 +145,15 @@ def test_min_distance_examples():
     gm = generator_matrix(gs)
     repeated = GeneratorMatrix(sh, gm.rows[[0, 1, 0]], gm.labels + gm.labels[:1])
     assert min_distance(repeated) == 2
+    # rows must match (len(labels), n); entries are taken mod q
+    with pytest.raises(ValueError):
+        GeneratorMatrix(sh, gm.rows[:, :3], gm.labels)
+    with pytest.raises(ValueError):
+        GeneratorMatrix(sh, gm.rows, gm.labels[:1])
+    sh9 = RingShape(GF(3, 2), 3, 2)
+    gm9 = generator_matrix(extract_generators(sh9, [BiPoly(sh9, [[1, 1], [1, 1], [0, 0]])]))
+    assert min_distance(gm9) == 2
+    assert min_distance(GeneratorMatrix(sh9, gm9.rows + 9, gm9.labels)) == 2
 
 
 def test_min_distance_matches_exhaustive_codeword_scan():
@@ -389,17 +398,15 @@ def test_product_code_distances(s, ell, gx, gy, k, d):
 
 
 @pytest.mark.parametrize("s,ell,gx,gy,ranks,d,enumerated", [
-    (15, 7, BCH15_7, HAMMING7, [28, 28, 28, 16, 4, 1], 15, {0, 1, 2}),
     (7, 7, HAMMING7, HAMMING7, [16, 15, 14, 4], 9, {0, 2}),
 ])
 def test_min_distance_defers_sets_whose_term_is_zero(monkeypatch, s, ell, gx, gy,
                                                      ranks, d, enumerated):
     """A set is enumerated only once the search reaches the level
     w = k - r_i at which its lower-bound term turns positive; it then
-    catches up its lower levels.  BCH[15,7] x Hamming7 (k=28) settles d at
-    level 4, so its sets with r = 16, 4 and 1 are never enumerated.  On
-    Hamming7 x Hamming7 (k=16) the set with r = 14 waits for level 2, and
-    shift images (r = 15, 4) are never enumerated."""
+    catches up its lower levels.  On Hamming7 x Hamming7 (k=16) the set
+    with r = 14 waits for level 2, and shift images (r = 15, 4) are never
+    enumerated."""
     sh, gens = _product_code(F2, s, ell, gx, gy)
     gm = generator_matrix(extract_generators(sh, gens))
     sets = list(codegen._information_sets(sh, gm.rows))
@@ -444,18 +451,34 @@ def test_min_distance_asks_for_a_set_only_when_it_could_raise_the_bound(monkeypa
 @pytest.mark.parametrize("s,ell,gx,gy,want", [
     (7, 7, HAMMING7, HAMMING7, [(16, False), (15, True), (14, False), (4, True)]),
     (23, 4, GOLAY23, [1, 1], [(36, False), (34, True), (22, False)]),  # Golay23 x [4, 3]
-    (15, 7, BCH15_7, HAMMING7, [(28, False)] * 3 + [(16, False), (4, False), (1, False)]),
 ])
-def test_information_sets_keep_the_cheaper_sequence(s, ell, gx, gy, want):
+def test_information_sets_mix_images_and_echelon_sets(s, ell, gx, gy, want):
     """(r_i, shift image?) of each set.  On these codes some shift image
-    takes fewer new columns than a set could, so the search compares the
-    images mixed with echelon sets against the echelon sets alone and
-    keeps the one that predicts fewer words.  Two codes keep the mixed
-    sequence; on BCH[15,7] x Hamming7 the images pack the columns worse
-    and the echelon sets alone are kept."""
+    takes fewer new columns than a set could, so the echelon set on the
+    unused columns is computed too; it is taken only when it takes more
+    new columns than the best image, and the image otherwise."""
     sh, gens = _product_code(F2, s, ell, gx, gy)
     gm = generator_matrix(extract_generators(sh, gens))
     assert [(r, gamma is None) for gamma, r in codegen._information_sets(sh, gm.rows)] == want
+
+
+def test_information_sets_eliminate_at_most_once_per_set(monkeypatch):
+    """BCH[15,7] x Hamming7 (k=28, n=105): each later set is the best shift
+    image or one echelon form on the unused columns, so the sets cost no
+    more _rref calls than there are of them."""
+    sh, gens = _product_code(F2, 15, 7, BCH15_7, HAMMING7)
+    gm = generator_matrix(extract_generators(sh, gens))
+    calls = []
+    rref = codegen._rref
+
+    def counting_rref(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(codegen, "_rref", counting_rref)
+    sets = [(r, gamma is None) for gamma, r in codegen._information_sets(sh, gm.rows)]
+    assert sets == [(28, False), (28, True), (22, True), (22, False), (5, False)]
+    assert len(calls) <= len(sets)
 
 
 def test_min_distance_counts_a_shift_image_from_the_first_sets_levels():
@@ -474,19 +497,6 @@ def test_min_distance_counts_a_shift_image_from_the_first_sets_levels():
     sets = codegen._information_sets(sh, gm.rows)
     assert [(r, gamma is None) for gamma, r in sets] == [(6, False), (6, True), (6, True)]
     assert min_distance(gm) == 6
-
-
-@pytest.mark.parametrize("k,q,target,ranks,enumerated,words", [
-    (4, 2, 3, [4], [4], 10),
-    # the r = 2 set counts first at level 2 = k - r, with its level 1
-    (4, 2, 4, [4, 2], [4, 2], 20),
-    # the same set as a shift image raises the bound but is never enumerated
-    (4, 2, 4, [4, 2], [4], 10),
-    # level w holds C(k, w) * (q - 1)^(w - 1) words: 4 + 6 * 2
-    (4, 3, 3, [4], [4], 16),
-])
-def test_predicted_words_by_hand(k, q, target, ranks, enumerated, words):
-    assert codegen._predicted_words(k, q, target, ranks, enumerated) == words
 
 
 def test_min_distance_eliminates_once_when_the_first_set_settles_d(monkeypatch):
