@@ -28,11 +28,11 @@ from each set's levels done.  The sets after the first are taken in one
 pull, at the first level where one of them could raise the lower bound.
 A set is enumerated only once its lower-bound term is positive, catching
 up its lower levels then.  Each weight level is grown from the one below
-by adding one scaled row, in chunks of at most ``_TABLE_ELEMS`` entries;
-a set keeps its last level when that fits the budget, and rebuilds it
-from weight 1 otherwise.  Kept words count against the same budget, so
-the working set stays a few chunk-sized arrays over every field, however
-long the code is.
+by adding one scaled row, in chunks of at most ``_GATHER_ELEMS`` entries,
+the chunk budget the ring's products use too.  A set keeps its last level
+when that level came in one chunk, and rebuilds it from weight 1
+otherwise.  Kept words count against the same budget, so the working set
+stays a few chunk-sized arrays over every field, however long the code is.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ import numpy as np
 
 from .errors import TooLargeError
 from .ideal import GeneratorSet, _rref
-from .ring2d import RingShape, shift_source
+from .ring2d import _GATHER_ELEMS, RingShape, shift_source
 
 DEFAULT_CAP = 1 << 20
-_TABLE_ELEMS = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +126,14 @@ def _shift_images(shape: RingShape, gamma: np.ndarray, pivots) -> np.ndarray | N
     Closure is tested on the one-step x- and y-shifts of the rows, which
     generate every shift: each shifted row must reduce to zero against
     gamma, whose columns I hold the identity.  The rows are shifted and
-    reduced in chunks whose products fit the _TABLE_ELEMS budget."""
+    reduced in chunks whose products fit the _GATHER_ELEMS budget."""
     fld, s, ell, n = shape.field, shape.s, shape.ell, shape.n
     k = len(pivots)
     cells = np.arange(n).reshape(s, ell)
     # column c of a shifted row comes from column src[c]
     src = np.concatenate([cells[shift_source(s, [1])[0]].ravel(),
                           cells[:, shift_source(ell, [1])[0]].ravel()])
-    step = max(1, _TABLE_ELEMS // (2 * k * n))
+    step = max(1, _GATHER_ELEMS // (2 * k * n))
     for a in range(0, k, step):
         shifted = gamma[a:a + step, src].reshape(-1, n)
         if fld.sub_arrays(shifted, fld.dot(shifted[:, pivots], gamma)).any():
@@ -202,12 +201,13 @@ def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
     A weight-w message with last index t is a weight-(w-1) message with
     last index below t plus c * rows[t], c != 0, so one loop grows level w
     from the chunks of level w - 1: `below`, each of at most budget
-    elements, or else _level(w - 1) rebuilt with half the budget, so all
-    levels in flight together stay within twice the budget.  A chunk
-    holds at most max(budget, n) elements.  A chunk of level w >= 2 is a
-    view of one buffer, no larger than the level, which is reused until
-    the level ends: a chunk is valid until the next one is requested, and
-    the last one stays valid."""
+    elements (min_distance passes a level that came in one such chunk),
+    or else _level(w - 1) rebuilt with half the budget, so all levels in
+    flight together stay within twice the budget.  A chunk holds at most
+    max(budget, n) elements.  A chunk of level w >= 2 is a view of one
+    buffer, no larger than the level, which is reused until the level
+    ends: a chunk is valid until the next one is requested, and the last
+    one stays valid."""
     k, n = rows.shape
     step = max(1, budget // n)
     if w == 1:
@@ -232,15 +232,6 @@ def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
                 size += len(base)
         if size:  # the next parent chunk starts again at a low t
             yield out[:size], out_last[:size]
-
-
-def _keep_level(k: int, q: int, n: int, w: int, budget: int) -> bool:
-    """Whether the search keeps level w, built with this budget, to grow
-    level w + 1 from: when _level(w, budget // 2) would yield it in one
-    chunk, each level i <= w fitting whole in budget >> (w + 1 - i), so
-    that the growth is _level(w + 1, budget) itself."""
-    return all(comb(k, i) * (q - 1) ** (i - 1) * n <= budget >> (w + 1 - i)
-               for i in range(1, w + 1))
 
 
 def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
@@ -269,12 +260,13 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     - A set whose term max(0, w + 1 - (k - r_i)) is still 0 is not
       enumerated.  When w reaches k - r_i it catches up its lower levels
       first, and only then is its term counted.
-    - Each set grows level w from its level w - 1, kept when
-      _level(w - 1, budget // 2) would give it in one chunk (so the
-      growth is exactly _level(w, budget)); any other level is rebuilt by
-      _level from weight 1.  A set's budget is _TABLE_ELEMS less the
-      words the other sets keep, so the working set stays a few arrays
-      of _TABLE_ELEMS elements."""
+    - Each set grows level w from its level w - 1, kept when _level gave
+      it in one chunk of at most the set's budget; any other level is
+      rebuilt by _level from weight 1.  A set's budget is _GATHER_ELEMS
+      less the words the other sets keep, so the kept words never add up
+      to more than _GATHER_ELEMS, a kept level fits the step of the level
+      grown from it, and the working set stays a few arrays of
+      _GATHER_ELEMS elements."""
     fld = gm.shape.field
     n = gm.n
     total = fld.q**gm.k
@@ -303,15 +295,14 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
                 if best <= bound:
                     return best
                 done += 1
-                budget = _TABLE_ELEMS - sum(other[3][0].size for other in sets
-                                            if other is not entry and other[3] is not None)
-                keep = _keep_level(k, fld.q, n, done, budget)
-                for words, last in _level(fld, gamma, done, budget,
-                                          None if kept is None else [kept]):
+                budget = _GATHER_ELEMS - sum(other[3][0].size for other in sets
+                                             if other is not entry and other[3] is not None)
+                level = _level(fld, gamma, done, budget, None if kept is None else [kept])
+                for chunks, (words, last) in enumerate(level, 1):
                     best = min(best, int(np.count_nonzero(words, axis=1).min()))
                     if best <= bound:
                         return best
-                kept = (words, last) if keep else None  # then level done came in one chunk
+                kept = (words, last) if chunks == 1 and words.size <= budget else None
                 entry[2:] = done, kept
             if entry is sets[0] and w == max(1, k - min(k, n - k)) and best > lower():
                 for later, r_later in source:

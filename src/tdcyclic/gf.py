@@ -305,10 +305,7 @@ class Field:
 
     def scale_array(self, c: int, a) -> np.ndarray:
         """Scalar c times every entry of a."""
-        a = np.asarray(a, dtype=np.int64)
-        if self.m == 1:
-            return (c * a) % self.p
-        return self._exp_np[self._log[c] + self._log_np[a]]
+        return self.mul_arrays(c, np.asarray(a, dtype=np.int64))
 
     def mul_arrays(self, a, b) -> np.ndarray:
         """Elementwise (broadcasting) product of two encoding arrays."""

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
 from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
-from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, shift_source
+from .ring2d import INTERNAL, BiPoly, RingShape, shift_source, shift_sum
 
 # entries of the (nonzero generators * n) x n shift matrix span_basis
 # eliminates, and rows * columns * rank bounding the elimination's work;
@@ -302,14 +302,10 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
         if r:
             raise NotMember(k)
         if q:
-            # gens[k] * q is q times the rows x^a * gens[k], a <= deg q < s,
-            # gathered and subtracted _GATHER_ELEMS entries at a time
-            arr, step = h.arr, max(1, _GATHER_ELEMS // shape.n)
-            for a in range(0, len(q.coeffs), step):
-                shifts = np.arange(a, min(a + step, len(q.coeffs)))
-                rows = gs.gens[k].arr[shift_source(s, shifts)].reshape(len(shifts), shape.n)
-                arr = fld.sub_arrays(arr, fld.dot(q.coeffs[a:a + step], rows).reshape(s, ell))
-            h = BiPoly(shape, arr)
+            # gens[k] * q is the sum of q_a times the rows x^a * gens[k],
+            # a <= deg q < s, formed by the ring's chunked shift-sum kernel
+            shifted = shift_sum(shape, gs.gens[k].arr, q.coeffs, np.arange(len(q.coeffs)))
+            h = BiPoly._wrap(shape, fld.sub_arrays(h.arr, shifted))
         coeffs.append(CyclicPoly.from_poly(q, s))
         if want_trace and k < ell - 1:
             trace.append(h)

@@ -6,16 +6,16 @@ multiplying by x cyclically shifts rows down, multiplying by y shifts
 columns right.  Column j read as a vector is the coefficient of y^j, the
 unique expansion of the element over the cyclic ring in x.
 
-A product a * b is the sum of c * x^i y^j * b over the nonzero cells
-c = a[i, j] of the sparser factor a, a ``CyclicPoly`` factor being the
-element whose y^0 coefficient it is.  Each term is a monomial shift of
-b, gathered through ``shift_source``, and the terms are summed by one
-``Field.dot`` of the coefficients against the gathered shifts.  The
-gather runs in chunks of at most ``_GATHER_ELEMS`` = 2^19 entries (4 MB
-of int64), so a product's working set is a few chunk-sized arrays
-whatever the ring's size: about 2 over a prime field, up to 4 over an
-extension of odd characteristic, whose ``dot`` works one base-p digit
-at a time.
+One kernel, ``shift_sum``, forms the sums of monomial shifts
+c_t * x^i_t y^j_t * b for the ring product and for ``ideal.decompose``.
+A product a * b sums over the nonzero cells c = a[i, j] of the sparser
+factor a, a ``CyclicPoly`` factor being the element whose y^0
+coefficient it is.  The shifts of b are gathered through
+``shift_source`` and summed by one ``Field.dot``, in chunks of at most
+``_GATHER_ELEMS`` = 2^19 entries (4 MB of int64), the engine's one chunk
+budget, so the working set is a few chunk-sized arrays whatever the
+ring's size: about 2 over a prime field, up to 4 over an extension of
+odd characteristic, whose ``dot`` works one base-p digit at a time.
 
 Two flattening orders exist and must never be conflated:
 
@@ -40,13 +40,27 @@ INTERNAL = "internal"
 CODEWORD = "codeword"
 
 MAX_ARRAY_CELLS = 1 << 16
-_GATHER_ELEMS = 1 << 19  # entries of the monomial shifts one product step gathers
+_GATHER_ELEMS = 1 << 19  # entries of the monomial shifts one gather step holds
 
 
 def shift_source(size: int, shifts) -> np.ndarray:
     """Cyclic shift gather along one axis: entry c shifted by shifts[k]
     comes from entry [k, c], so x^a y^b g at (i, j) is g[(i - a) % s, (j - b) % ell]."""
     return (np.arange(size)[None, :] - np.asarray(shifts)[:, None]) % size
+
+
+def shift_sum(shape: RingShape, b: np.ndarray, coeffs, i, j=None) -> np.ndarray:
+    """The (s, ell) array of the sum of coeffs[t] * x^i[t] y^j[t] * b, y^0 when
+    j is None, gathering and summing the shifts of b _GATHER_ELEMS entries at a time."""
+    fld, n = shape.field, shape.n
+    step = max(1, _GATHER_ELEMS // n)
+    out = np.zeros(n, dtype=np.int64)
+    for t in range(0, len(coeffs), step):
+        src = shift_source(shape.s, i[t:t + step])
+        if j is not None:
+            src = src[:, :, None], shift_source(shape.ell, j[t:t + step])[:, None, :]
+        out = fld.add_arrays(out, fld.dot(coeffs[t:t + step], b[src].reshape(-1, n)))
+    return out.reshape(shape.s, shape.ell)
 
 
 @dataclass(frozen=True)
@@ -205,14 +219,7 @@ class BiPoly:
         if np.count_nonzero(b) < np.count_nonzero(a):
             a, b = b, a
         i, j = np.nonzero(a)
-        fld, step = shape.field, max(1, _GATHER_ELEMS // shape.n)
-        out = np.zeros(shape.n, dtype=np.int64)
-        for t in range(0, i.size, step):
-            it, jt = i[t:t + step], j[t:t + step]
-            src_i, src_j = shift_source(shape.s, it), shift_source(shape.ell, jt)
-            rows = b[src_i[:, :, None], src_j[:, None, :]].reshape(-1, shape.n)
-            out = fld.add_arrays(out, fld.dot(a[it, jt], rows))
-        return BiPoly._wrap(shape, out.reshape(shape.s, shape.ell))
+        return BiPoly._wrap(shape, shift_sum(shape, b, a[i, j], i, j))
 
     __rmul__ = __mul__
 

@@ -94,6 +94,17 @@ def test_member(tmp_path, capsys):
     assert json.loads(out)["member"] is True
 
 
+def test_member_trace_over_gf4_matches_golden(tmp_path, capsys):
+    # a member of <(1 + y)(1 + x)> over GF(4) whose quotients and two trace
+    # stages pass through decompose's chunked shift sums
+    doc = {"field": {"p": 2, "m": 2}, "s": 3, "ell": 3,
+           "generators": [[[1, 1, 0], [1, 1, 0], [0, 0, 0]]]}
+    code, out, _ = run(capsys, ["member", "--trace", "--input", write_problem(tmp_path, doc),
+                                "--element", "[[0, 2, 2], [3, 0, 3], [3, 2, 1]]"])
+    assert code == 0
+    assert out == (DATA / "gf4_member_trace.json").read_text()
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     path = write_problem(tmp_path, FIXTURE)
     code, out, _ = run(capsys, ["verify", "--input", path])

@@ -14,7 +14,8 @@ from tdcyclic import (CODEWORD, GF, BiPoly, Field, GeneratorMatrix, Poly, RingSh
                       extract_generators, gcd, generator_matrix, min_distance,
                       reduced_span, xs_minus_one)
 from tdcyclic import codegen
-from tdcyclic.codegen import _TABLE_ELEMS, matrix_csv, matrix_json_dict, matrix_text
+from tdcyclic.codegen import matrix_csv, matrix_json_dict, matrix_text
+from tdcyclic.ring2d import _GATHER_ELEMS
 from conftest import random_generators
 
 F2 = GF(2)
@@ -260,16 +261,16 @@ def _least_weight_of_all_messages(fld, rows):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_full_rank_matrices(), st.sampled_from([1, 20, 300, _TABLE_ELEMS]))
+@given(_full_rank_matrices(), st.sampled_from([1, 20, 300, _GATHER_ELEMS]))
 # two codes (d=2) that stop one level too early when the lower bound
 # counts w + 1 on a rank-deficient information set instead of w + 1 - (k - r_i)
 @example((GF(2, 2), np.array([[2, 2, 0, 2, 3, 1, 1, 0], [0, 1, 2, 0, 1, 2, 2, 0],
                               [0, 0, 1, 0, 2, 3, 2, 0], [2, 1, 1, 0, 1, 2, 0, 0]])),
-         _TABLE_ELEMS)
+         _GATHER_ELEMS)
 @example((GF(5), np.array([[2, 0, 4, 4, 2, 0, 0, 0, 2], [4, 2, 1, 3, 3, 1, 0, 0, 1],
                            [0, 4, 0, 0, 0, 1, 4, 0, 0], [0, 4, 1, 0, 2, 1, 1, 0, 0],
                            [1, 3, 2, 2, 4, 4, 4, 0, 1]])),
-         _TABLE_ELEMS)
+         _GATHER_ELEMS)
 def test_min_distance_matches_all_messages_on_random_matrices(code, budget):
     """d of arbitrary full-rank matrices, not only cyclic codes, against
     the least weight over all q^k - 1 nonzero messages.  Budgets below
@@ -277,11 +278,11 @@ def test_min_distance_matches_all_messages_on_random_matrices(code, budget):
     fld, rows = code
     k, n = rows.shape
     gm = GeneratorMatrix(RingShape(fld, n, 1), rows, tuple((0, a) for a in range(k)))
-    with mock.patch.object(codegen, "_TABLE_ELEMS", budget):
+    with mock.patch.object(codegen, "_GATHER_ELEMS", budget):
         assert min_distance(gm) == _least_weight_of_all_messages(fld, rows)
 
 
-@pytest.mark.parametrize("budget", [1, 9, 40, _TABLE_ELEMS])
+@pytest.mark.parametrize("budget", [1, 9, 40, _GATHER_ELEMS])
 def test_levels_hold_each_message_once(budget):
     """Level w holds the codeword of every message of weight w whose first
     nonzero coefficient is 1, once, with the index of its last nonzero
@@ -305,12 +306,13 @@ def test_levels_hold_each_message_once(budget):
             assert sorted(got) == sorted(want), (fld, w)
 
 
-@pytest.mark.parametrize("budget", [1, 9, 40, _TABLE_ELEMS])
+@pytest.mark.parametrize("budget", [1, 9, 40, _GATHER_ELEMS])
 def test_levels_grown_from_the_kept_level_match_rebuilt_ones(budget):
-    """The search keeps level w - 1 when _level(w - 1, budget // 2) would
-    give it in one chunk, and grows level w from it: the same words and
-    last indices, in the same order, as _level(w, budget) rebuilding every
-    level from weight 1.  At budget 1 no level fits, so none is kept."""
+    """The search keeps level w when _level gave it in one chunk of at most
+    the budget, and grows level w + 1 from it: the same words and last
+    indices as _level(w + 1, budget) rebuilding every level from weight 1,
+    though the chunks may be cut elsewhere.  At budget 1 no level that is
+    grown from fits, so none is kept."""
     rng = random.Random(budget)
     grown = 0
     for k, n in ((5, 4), (4, 1)):
@@ -319,16 +321,17 @@ def test_levels_grown_from_the_kept_level_match_rebuilt_ones(budget):
             kept = None
             for w in range(1, k + 1):
                 below = None if kept is None else [kept]
-                got = [(words.tolist(), last.tolist())
-                       for words, last in codegen._level(fld, rows, w, budget, below)]
-                want = [(words.tolist(), last.tolist())
-                        for words, last in codegen._level(fld, rows, w, budget)]
+                chunks = [(words.copy(), last.copy())
+                          for words, last in codegen._level(fld, rows, w, budget, below)]
+                got = sorted((tuple(word), int(t)) for words, last in chunks
+                             for word, t in zip(words.tolist(), last))
+                want = sorted((tuple(word), int(t))
+                              for words, last in codegen._level(fld, rows, w, budget)
+                              for word, t in zip(words.tolist(), last))
                 assert got == want, (fld, k, n, w)
                 grown += kept is not None
-                kept = None
-                if codegen._keep_level(k, fld.q, n, w, budget):
-                    assert len(got) == 1
-                    kept = tuple(np.array(a) for a in got[0])
+                one_chunk = len(chunks) == 1 and chunks[0][0].size <= budget
+                kept = chunks[0] if one_chunk else None
     assert grown > 0 or budget == 1
 
 
@@ -374,7 +377,7 @@ def test_min_distance_memory_bounded():
         finally:
             tracemalloc.stop()
         assert got == d
-        assert peak < 3 * _TABLE_ELEMS * 8 + (1 << 20), (gm.shape.field, peak)
+        assert peak < 3 * _GATHER_ELEMS * 8 + (1 << 20), (gm.shape.field, peak)
 
 
 HAMMING7 = [1, 1, 0, 1]                      # 1 + x + x^3: [7, 4, 3]
@@ -567,7 +570,7 @@ def test_rows_not_closed_under_shifts_get_echelon_sets_only():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.data(), st.sampled_from([1, 20, 300, _TABLE_ELEMS]))
+@given(st.data(), st.sampled_from([1, 20, 300, _GATHER_ELEMS]))
 def test_min_distance_matches_oracle_on_random_ideals(data, budget):
     """d of random ideals, against the least nonzero weight of the
     oracle's enumeration of the ideal.  Multiplying the generators by
@@ -588,7 +591,7 @@ def test_min_distance_matches_oracle_on_random_ideals(data, budget):
     assume(gm.k > 0 and F.q**gm.k <= 1 << 12)
     span = enumerate_span(bruteforce_ideal(sh, gens))
     weights = np.count_nonzero(span, axis=1)
-    with mock.patch.object(codegen, "_TABLE_ELEMS", budget):
+    with mock.patch.object(codegen, "_GATHER_ELEMS", budget):
         assert min_distance(gm) == int(weights[weights > 0].min())
 
 

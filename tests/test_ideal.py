@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcyclic import ideal
-from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, NotMember, Poly, RingShape,
+from tdcyclic import ideal, ring2d
+from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, DivisibilityError, EchelonBasis,
+                      NotMember, Poly, RingShape,
                       bruteforce_ideal, canonical_form, decompose, dimension,
                       extract_generators, gcd, generator_set_from_basis,
                       layer_generator, reduced_span, span_basis, xs_minus_one)
@@ -271,6 +272,16 @@ def test_base_divisibility_and_quotients():
                 assert rebuilt == p.coord(i)
 
 
+def test_layer_not_divisible_by_the_base_generator_refused():
+    """A hand-built basis whose layer-1 generator 1 is not a multiple of
+    the base generator 1 + x cannot be a basis of an ideal."""
+    sh = RingShape(F2, 2, 2)
+    basis = EchelonBasis(sh, np.array([[1, 1, 0, 0], [0, 0, 1, 0]]), (1, 2))
+    with pytest.raises(DivisibilityError, match="^coordinate 1 of generator 1 is not "
+                                                "divisible by the base generator$"):
+        generator_set_from_basis(basis)
+
+
 def test_dimension_identity():
     rng = random.Random(53)
     for sh in random_shapes(rng, 30, fields=(2, 3, 4)):
@@ -332,7 +343,7 @@ def test_decompose_memory_bounded(monkeypatch):
         for g in gs.gens:
             f = f + g * CyclicPoly(F, rng.integers(0, F.q, s).tolist())
         whole = decompose(f, gs, want_trace=True)
-        monkeypatch.setattr(ideal, "_GATHER_ELEMS", 1 << 12)
+        monkeypatch.setattr(ring2d, "_GATHER_ELEMS", 1 << 12)
         tracemalloc.start()
         try:
             chunked = decompose(f, gs, want_trace=True)
@@ -344,6 +355,43 @@ def test_decompose_memory_bounded(monkeypatch):
         assert chunked.trace == whole.trace
         assert max(len(q.coeffs) for q in chunked.coeffs) >= s - 2
         assert peak < 4 * (1 << 12) * 8 + (64 << 10), (F, s, ell, peak)
+
+
+def _decompose_outcome(f, gs):
+    try:
+        dec = decompose(f, gs, want_trace=True)
+    except NotMember as e:
+        return e.layer
+    return [q.coeffs for q in dec.coeffs], [h.arr.tolist() for h in dec.trace]
+
+
+def test_decompose_same_across_gather_chunk_boundaries(monkeypatch):
+    """Gather chunks of 1, n - 1, n + 1 and 2n + 1 entries cut the rows
+    x^a * gens[k] into chunks of one or two rows; decompose still gives
+    the coefficients, trace and NotMember layer of one whole gather."""
+    rng = random.Random(71)
+    split = rejected = 0
+    for F in (F2, GF(2, 2), GF(3, 2)):
+        for _ in range(8):
+            sh = RingShape(F, rng.randint(3, 6), rng.randint(1, 4))
+            gs = extract_generators(sh, random_generators(rng, sh))
+            elements = [BiPoly(sh, [[rng.randrange(F.q) for _ in range(sh.ell)]
+                                    for _ in range(sh.s)])]
+            member = BiPoly.zero(sh)
+            for g in gs.gens:
+                member = member + g * CyclicPoly(F, [rng.randrange(F.q) for _ in range(sh.s)])
+            elements.append(member)
+            for f in elements:
+                whole = _decompose_outcome(f, gs)
+                for chunk in (1, sh.n - 1, sh.n + 1, 2 * sh.n + 1):
+                    monkeypatch.setattr(ring2d, "_GATHER_ELEMS", chunk)
+                    assert _decompose_outcome(f, gs) == whole, (F, sh.s, sh.ell, chunk)
+                    monkeypatch.undo()
+                if isinstance(whole, int):
+                    rejected += 1
+                else:
+                    split += max(len(q) for q in whole[0]) >= 3
+    assert split >= 10 and rejected >= 5, (split, rejected)
 
 
 def test_trace_vanishes_below_layer():
