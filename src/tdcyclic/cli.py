@@ -111,6 +111,9 @@ def load_problem(text: str) -> Problem:
     modulus = fd.get("modulus")
     if modulus is not None and not (isinstance(modulus, list) and all(map(_is_int, modulus))):
         raise ProblemFormatError(f"field.modulus: {modulus!r} is not a list of integers")
+    for i, c in enumerate(modulus or ()):
+        if not 0 <= c < fd["p"]:
+            raise ProblemFormatError(f"field.modulus[{i}]: {c} is not in [0, {fd['p']})")
     try:
         field = field_from_descriptor(fd)
     except BoundsError:

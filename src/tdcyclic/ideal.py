@@ -13,13 +13,14 @@ the y-direction:
 * the table of exact quotients of every coordinate by the base layer
   generator.
 
-All layer data is read off one reduced row-echelon basis of the ideal as
-an F-vector space, kept as one matrix.  ``_rref`` takes its pivot order
-as an argument: by y-block ascending and, within a block, by x-degree
-descending, so a row's pivot is the leading term of its lowest nonzero
-coordinate.  The pivots of block j then sit at exactly the degrees
-deg(g_j) .. s-1 of the layer generator g_j, and the row with the lowest
-of them is the layer's generating polynomial: it vanishes below j, its
+All layer data is read off, in one pass over one row per layer, a reduced
+row-echelon basis of the ideal as an F-vector space, kept as one matrix.
+``_rref`` takes its pivot order as an argument: by y-block ascending and,
+within a block, by x-degree descending, so a row's pivot is the leading
+term of its lowest nonzero coordinate.  The pivots of block j then sit at
+exactly the degrees deg(g_j) .. s-1 of the layer generator g_j, and the
+row with the lowest of them, the last of the block in elimination order,
+is the layer's generating polynomial: it vanishes below j, its
 y^j coordinate is the monic element of least degree in the coefficient
 ideal, i.e. g_j, and reduction against the pivots of every higher block
 i leaves its y^i coordinate below deg(g_i).  The telescoping peel-off
@@ -215,59 +216,49 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
     return EchelonBasis(shape, mat, pivots)
 
 
-def _layer_row(basis: EchelonBasis, j: int) -> int | None:
-    """Index of the basis row whose pivot is the lowest degree in block j,
-    i.e. the last of that block in elimination order; None if block j
-    has no pivot."""
-    s = basis.shape.s
-    rows = [r for r, p in enumerate(basis.pivots) if p // s == j]
-    return rows[-1] if rows else None
-
-
 def layer_generator(basis: EchelonBasis, j: int) -> LayerInfo:
-    """Monic generator of the coefficient ideal of layer j.
-
-    It is the y^j coordinate of the basis row whose pivot is the lowest
-    degree in block j: that row vanishes below j, and no ideal element
-    vanishing below j has a nonzero y^j coordinate of lower degree.
-    """
-    shape = basis.shape
-    s, fld = shape.s, shape.field
-    if not 0 <= j < shape.ell:
-        raise IndexError(f"layer index {j} out of range [0, {shape.ell})")
-    r = _layer_row(basis, j)
-    if r is None:
-        return LayerInfo(j, CyclicPoly.zero(fld, s), s, Poly.one(fld))
-    gen = CyclicPoly(fld, basis.matrix[r, j * s:(j + 1) * s].tolist())
-    return LayerInfo(j, gen, basis.pivots[r] % s, cofactor(gen.lift(), s))
+    """Monic generator of the coefficient ideal of layer j: layer j of the
+    one read-off pass, which this builds whole by calling
+    generator_set_from_basis."""
+    if not 0 <= j < basis.shape.ell:
+        raise IndexError(f"layer index {j} out of range [0, {basis.shape.ell})")
+    return generator_set_from_basis(basis).layers[j]
 
 
 def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
-    """Canonical GeneratorSet read off an echelon basis of the ideal: the
-    generating polynomial of layer j is the basis row layer_generator
-    reads, which is already reduced against every higher layer."""
-    shape = basis.shape
-    ell = shape.ell
-    layers = tuple(layer_generator(basis, j) for j in range(ell))
-    rows = (_layer_row(basis, j) for j in range(ell))
-    gens = [BiPoly.zero(shape) if r is None
-            else BiPoly.from_vector(shape, basis.matrix[r], INTERNAL) for r in rows]
+    """Canonical GeneratorSet read off an echelon basis in one pass.
 
-    base = layers[0].gen.lift() if not layers[0].is_zero else None
-    quotients = []
+    The layer row of block j is the block's last row in elimination order,
+    whose pivot is the block's lowest degree: its y^j coordinate is the
+    layer generator, and it is already reduced against every higher layer.
+    Each layer row's coordinates are read once, as Poly."""
+    shape = basis.shape
+    fld, s, ell = shape.field, shape.s, shape.ell
+    layer_row = {p // s: r for r, p in enumerate(basis.pivots)}  # each block's last row
+    layers, gens, quotients = [], [], []
+    base = None  # the layer 0 generator every coordinate is a multiple of
     for j in range(ell):
-        if layers[j].is_zero:
+        r = layer_row.get(j)
+        if r is None:
+            layers.append(LayerInfo(j, CyclicPoly.zero(fld, s), s, Poly.one(fld)))
+            gens.append(BiPoly.zero(shape))
             quotients.append(())
             continue
+        row = basis.matrix[r]
+        coords = [Poly(fld, row[i * s:(i + 1) * s].tolist()) for i in range(j, ell)]
+        g = coords[0]
+        base = g if j == 0 else base
+        layers.append(LayerInfo(j, CyclicPoly.from_poly(g, s), g.degree, cofactor(g, s)))
+        gens.append(BiPoly.from_vector(shape, row, INTERNAL))
         qs = []
-        for i in range(j, ell):
-            q, r = divmod(gens[j].coord(i).lift(), base)
-            if r:
+        for i, c in enumerate(coords, j):
+            q, rem = divmod(c, base)
+            if rem:
                 raise DivisibilityError(
                     f"coordinate {i} of generator {j} is not divisible by the base generator")
             qs.append(q)
         quotients.append(tuple(qs))
-    return GeneratorSet(shape, layers, tuple(gens), tuple(quotients))
+    return GeneratorSet(shape, tuple(layers), tuple(gens), tuple(quotients))
 
 
 def extract_generators(shape: RingShape, generators) -> GeneratorSet:

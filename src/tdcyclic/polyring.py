@@ -69,7 +69,7 @@ class Poly:
         return self.scale(self.field.inv(self.lc))
 
     def scale(self, c: int) -> "Poly":
-        f = self.field
+        f, c = self.field, self.field.make(c)
         return Poly(f, [f.mul(c, a) for a in self.coeffs])
 
     def __add__(self, other: "Poly") -> "Poly":

@@ -42,6 +42,15 @@ def test_construct_matches_golden(tmp_path, capsys):
     assert out == (DATA / "fixture_generator_set.json").read_text()
 
 
+def test_matrix_and_enumerate_match_golden(tmp_path, capsys):
+    # the files the installed-script CI step diffs as well
+    path = write_problem(tmp_path, FIXTURE)
+    code, out, _ = run(capsys, ["matrix", "--format", "csv", "--input", path])
+    assert code == 0 and out == (DATA / "fixture_matrix.csv").read_text()
+    code, out, _ = run(capsys, ["enumerate", "--mode", "exhaustive", "--input", path])
+    assert code == 0 and out == (DATA / "fixture_enumerate.csv").read_text()
+
+
 def test_construct_zero_generators(tmp_path, capsys):
     doc = dict(FIXTURE, generators=[])
     code, out, _ = run(capsys, ["construct", "--input", write_problem(tmp_path, doc)])
@@ -332,6 +341,12 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         (["construct"], {"field": {"p": 2, "m": True}, "s": 2, "ell": 2}, "field.m"),
         (["construct"], {"field": {"p": 2, "m": 2, "modulus": [1, True, 1]}, "s": 2, "ell": 2},
          "field.modulus"),
+        # modulus entries outside [0, p): GF would reduce them, so 3 would pass as monic
+        (["construct"], {"field": {"p": 2, "m": 2, "modulus": [1, 1, 3]}, "s": 2, "ell": 2},
+         "field.modulus[2]: 3 is not in [0, 2)"),
+        (["construct"], {"field": {"p": 3, "m": 2, "modulus": [-1, 0, 1]}, "s": 2, "ell": 2},
+         "field.modulus[0]: -1 is not in [0, 3)"),
+        (["construct"], [1, 2], "top level must be a JSON object"),
         # out-of-range values, from the file and from the flags
         (["params", "--with-distance"], dict(FIXTURE, options={"cap": -1}), "options.cap"),
         (["params", "--with-distance"], dict(FIXTURE, options={"cap": 0}), "options.cap"),

@@ -93,6 +93,17 @@ def test_inv_examples():
         GF(7).inv(0)
 
 
+@pytest.mark.parametrize("p, m", [(5, 1), (2, 3), (3, 2)])
+def test_pow_of_a_negative_exponent_is_the_inverse_power(p, m):
+    F = GF(p, m)
+    for a in range(1, F.q):
+        for e in range(1, F.q + 1):
+            assert F.pow(a, -e) == F.pow(F.inv(a), e)
+            assert F.mul(F.pow(a, -e), F.pow(a, e)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+
+
 def test_enumerate_order():
     assert GF(2).elements() == [0, 1]
     assert GF(3).elements() == [0, 1, 2]

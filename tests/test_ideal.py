@@ -282,6 +282,18 @@ def test_layer_not_divisible_by_the_base_generator_refused():
         generator_set_from_basis(basis)
 
 
+def test_elements_of_another_shape_refused():
+    sh, gens = fixture()
+    stranger = BiPoly.one(RingShape(F2, 2, 3))
+    with pytest.raises(ValueError, match="^generator does not match the ring shape$"):
+        span_basis(sh, gens + [stranger])
+    basis = span_basis(sh, gens)
+    with pytest.raises(ValueError, match="^element does not match the ring shape$"):
+        basis.residual(stranger)
+    with pytest.raises(ValueError, match="^element does not match the ring shape$"):
+        decompose(stranger, extract_generators(sh, gens))
+
+
 def test_dimension_identity():
     rng = random.Random(53)
     for sh in random_shapes(rng, 30, fields=(2, 3, 4)):

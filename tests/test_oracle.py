@@ -257,6 +257,12 @@ def test_closure_of_another_shape_is_refused():
         verify_matrix(generator_matrix(gs), other)
 
 
+def test_generator_of_another_shape_is_refused():
+    sh, gens = fixture_problem()
+    with pytest.raises(ValueError, match="^generator does not match the ring shape$"):
+        bruteforce_ideal(sh, gens + [BiPoly.one(RingShape(GF(2), 2, 3))])
+
+
 def test_raw_vectors_canonicalized_in_subprocess():
     # over GF(4) an entry -1 once left the elimination spinning forever, so
     # run it where a hang fails the test instead of the whole suite

@@ -5,7 +5,8 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcd, gf_gcdex, gf_mul, gf_quo, gf_rem
 
-from tdcyclic import GF, CyclicPoly, Poly, cofactor, divides_xs_minus_one, gcd, xgcd, xs_minus_one
+from tdcyclic import (GF, BiPoly, CyclicPoly, Poly, RingShape, cofactor, divides_xs_minus_one,
+                      gcd, xgcd, xs_minus_one)
 
 
 def all_polys(field, max_deg):
@@ -122,6 +123,41 @@ def test_residue_ring_ops():
             assert a.shift(s) == a
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_residue_neg_sub_scale_match_poly_arithmetic_mod_xs_minus_one(p, m):
+    """Negation, difference and scalar multiple of residues given by
+    representatives of degree up to 2s agree with the same Poly arithmetic
+    reduced modulo x^s - 1 by division."""
+    F = GF(p, m)
+    rng = random.Random(71)
+    for _ in range(60):
+        s = rng.randint(1, 6)
+        A, B = (Poly(F, [rng.randrange(F.q) for _ in range(rng.randint(0, 2 * s))])
+                for _ in range(2))
+        a, b = CyclicPoly.from_poly(A, s), CyclicPoly.from_poly(B, s)
+        mod = xs_minus_one(F, s)
+        c = rng.randrange(F.q)
+        assert (-a).lift() == -A % mod
+        assert (a - b).lift() == (A - B) % mod
+        assert a.scale(c).lift() == A.scale(c) % mod
+        assert (a - b) + b == a and (a + -a).is_zero
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
+def test_scale_takes_any_integer_scalar(p, m):
+    """Poly.scale and CyclicPoly.scale read an integer outside [0, q) as
+    Field.make does, as BiPoly.scale does."""
+    F = GF(p, m)
+    coeffs = list(range(1, F.q))
+    f, r = Poly(F, coeffs), CyclicPoly(F, coeffs)
+    column = BiPoly(RingShape(F, len(coeffs), 1), [[a] for a in coeffs])
+    for c in (F.q, F.q + 1, -F.q - 1):
+        assert f.scale(c) == f.scale(F.make(c))
+        assert r.scale(c) == r.scale(F.make(c))
+        assert column.scale(c).arr[:, 0].tolist() == list(r.scale(c).coeffs)
+        assert f.scale(c) == Poly(F, [F.mul(F.make(c), a) for a in coeffs])
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_residue_commutative_associative_exhaustive(s):
     F = GF(2)
@@ -145,6 +181,11 @@ def test_divisor_and_cofactor():
     assert not divides_xs_minus_one(x, 2)
     with pytest.raises(ValueError):
         cofactor(x, 2)
+    with pytest.raises(ValueError, match="zero polynomial divides nothing"):
+        divides_xs_minus_one(Poly.zero(F), 2)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            xs_minus_one(F, s)
 
 
 def test_field_mismatch_rejected():

@@ -131,6 +131,27 @@ def test_vectorize_orders():
         e.to_vector("diagonal")
     with pytest.raises(ValueError):
         BiPoly.from_vector(sh, [1, 0, 0], CODEWORD)
+    with pytest.raises(ValueError, match="unknown flattening order 'diagonal'"):
+        BiPoly.from_vector(sh, [1, 0, 0, 0], "diagonal")
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (3, 2)])
+def test_negation_truth_and_hash(p, m):
+    """-a is the cellwise field negation, an element is true iff some cell
+    is nonzero, and equal elements hash equal."""
+    F = GF(p, m)
+    sh = RingShape(F, 3, 2)
+    rng = random.Random(29)
+    for _ in range(30):
+        arr = [[rng.randrange(F.q) if rng.random() < 0.5 else 0 for _ in range(2)]
+               for _ in range(3)]
+        a = BiPoly(sh, arr)
+        assert (-a).arr.tolist() == [[F.neg(c) for c in row] for row in arr]
+        assert (a + -a).is_zero
+        assert bool(a) == any(c for row in arr for c in row)
+        twin = BiPoly(sh, [list(row) for row in arr])
+        assert twin is not a and hash(twin) == hash(a) and len({a, twin}) == 1
+    assert not BiPoly.zero(sh) and BiPoly.one(sh)
 
 
 def test_scalar_multiplication_via_cyclic():
