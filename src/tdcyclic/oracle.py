@@ -1,20 +1,32 @@
 """Brute-force verification path, independent of the construction engine.
 
-Everything here recomputes spans from scratch: the ideal is obtained as a
-fixed-point closure of raw codeword vectors under row and column shifts,
-tracked by a self-contained elimination routine over the row-major
-(codeword) flattening.  None of the reduced-echelon machinery of the
-engine is reused: agreement between the two paths is the point of this
-module, so the overlap is kept to the shared value types and the field's
-arithmetic.
+A span the oracle cannot prove equal is recomputed from scratch: the
+ideal is obtained as a fixed-point closure of raw codeword vectors under
+row and column shifts, tracked by a self-contained elimination routine
+over the row-major (codeword) flattening.  None of the reduced-echelon
+machinery of the engine is reused: agreement between the two paths is
+the point of this module, so the overlap is kept to the shared value
+types and the field's arithmetic.
 
 The span is kept as fully reduced rows (pivot 1, zero in every other
 pivot column), so the residual of a whole batch of vectors is one field
-``dot``.  The closure runs in rounds: each round shifts every row the
+``dot``.  ``extend`` takes new rows in order: each has been reduced by
+the pivots found before it, a nonzero one takes its first nonzero column
+as its pivot, and one whole-matrix update clears that column from every
+other row.  The closure runs in rounds: each round shifts every row the
 previous round added, both ways at once by an index gather, and adds
 that batch to the span; it stops at the first round that adds nothing.
 Raw vectors are canonicalized as ``BiPoly`` does it: their length must
 be s*ell, and entries are taken mod q.
+
+A rank certificate shortcuts a passing check.  The leading cell of a
+nonzero vector is its first nonzero cell, y ascending, then x
+descending, and vectors with pairwise distinct leading cells are
+linearly independent.  So rows inside the ideal that show as many
+distinct leading cells as its dimension span it, and k rows with k
+distinct leading cells have rank k.  The condition is only sufficient:
+where it falls short the closure or the elimination runs, and every
+failure and its counterexample come from that computation.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BoundsError, TooLargeError
-from .polyring import divides_xs_minus_one, xs_minus_one
+from .polyring import Poly, divides_xs_minus_one, xs_minus_one
 from .ring2d import CODEWORD, BiPoly, RingShape
 
 MAX_ORACLE_LENGTH = 64
@@ -56,36 +68,29 @@ class _Reducer:
         return int(bad[0]) if bad.size else None
 
     def extend(self, mat: np.ndarray) -> np.ndarray:
-        """Add the rows of mat to the span by Gauss-Jordan elimination,
-        one step per new pivot, clearing each new pivot column from the
-        stored rows too.  Returns the rows it added, as added."""
+        """Add the rows of mat to the span by Gauss-Jordan elimination.
+        The new rows are taken in order, each reduced by every pivot found
+        before it; a nonzero one takes its first nonzero column as its
+        pivot, cleared from every other row by one whole-matrix update.
+        Returns the rows it added, as added."""
         fld = self.fld
         r = self.dimension
         res = self.residuals(mat)
         work = np.concatenate([self.rows, res[res.any(axis=1)]])
-        pivots = self.pivots.tolist()
-        top = r
-        while top < len(work):
-            live = np.flatnonzero(work[top:].any(axis=1))
-            if not live.size:
-                break
-            i = top + int(live[0])
-            if i != top:
-                work[[top, i]] = work[[i, top]]
-            c = int(np.flatnonzero(work[top])[0])
-            pv = int(work[top, c])
-            if pv != 1:
-                work[top] = fld.scale_array(fld.inv(pv), work[top])
-            others = np.flatnonzero(work[:, c])
-            others = others[others != top]
-            if others.size:
-                work[others] = fld.sub_arrays(
-                    work[others], fld.mul_arrays(work[others, c][:, None], work[top][None, :]))
+        pivots, keep = self.pivots.tolist(), list(range(r))
+        for t in range(r, len(work)):
+            nz = np.flatnonzero(work[t])
+            if not nz.size:
+                continue
+            c, pv = int(nz[0]), int(work[t, nz[0]])
+            row = work[t] if pv == 1 else fld.scale_array(fld.inv(pv), work[t])
+            work = fld.sub_arrays(work, fld.mul_arrays(work[:, c, None], row))
+            work[t] = row
             pivots.append(c)
-            top += 1
+            keep.append(t)
         # a later extend works on a new array, so these rows are never written again
-        self.rows, self.pivots = work[:top], np.array(pivots, dtype=np.intp)
-        return work[r:top]
+        self.rows, self.pivots = work[keep], np.array(pivots, dtype=np.intp)
+        return self.rows[r:]
 
     def reduced_rows(self) -> np.ndarray:
         """The unique reduced-echelon basis: the stored rows by pivot."""
@@ -105,6 +110,26 @@ def _shift_index(s: int, ell: int) -> np.ndarray:
 def _shifts(shape: RingShape, mat: np.ndarray) -> np.ndarray:
     """Both one-step shifts of every row of mat, in one gather."""
     return mat[:, _shift_index(shape.s, shape.ell)].reshape(-1, shape.n)
+
+
+@functools.lru_cache(maxsize=128)
+def _lead_order(s: int, ell: int) -> np.ndarray:
+    """(s, n) gather indices: row a reads x^a * vec (codeword layout) with
+    its cells in leading order, y ascending, then x descending."""
+    p = np.arange(s * ell)
+    idx = (s - 1 - p % s - np.arange(s)[:, None]) % s * ell + p // s
+    idx.setflags(write=False)
+    return idx
+
+
+def _distinct_leads(shape: RingShape, vecs: np.ndarray, shifts: int) -> int:
+    """Number of distinct leading cells of the nonzero x^a * vecs[t], a < shifts:
+    a lower bound on their rank."""
+    n = shape.n
+    cells = vecs[:, _lead_order(shape.s, shape.ell)[:shifts]].reshape(-1, n) != 0
+    seen = np.zeros(n + 1, dtype=bool)  # a zero vector marks the last slot
+    seen[np.where(cells.any(axis=1), cells.argmax(axis=1), n)] = True
+    return int(seen[:n].sum())
 
 
 def _raw_vectors(fld, n: int, vectors) -> np.ndarray:
@@ -256,84 +281,86 @@ def verify_generator_set(gs, generators) -> Report:
     degree bounds.  ``generators`` may be their ClosureBasis instead.
     """
     shape = gs.shape
-    s = shape.s
+    fld, s, ell = shape.field, shape.s, shape.ell
     ideal = _ideal_of(shape, generators)
+    layers = gs.layers
+    live = np.array([not layer.is_zero for layer in layers])
     checks = []
 
-    gens = np.stack([p.to_vector(CODEWORD) for p in gs.gens])
+    arrs = np.stack([p.arr for p in gs.gens])  # arrs[j, i, c]: x^i y^c coefficient of gens[j]
+    ng = len(arrs)
+    gens = arrs.reshape(ng, shape.n)
     i = ideal._reducer.first_outside(gens)
     bad = None if i is None else gens[i].tolist()
     checks.append(CheckResult("gens-in-ideal", bad is None, bad))
 
-    regen = bruteforce_ideal(shape, [p for p in gs.gens if not p.is_zero])
-    ok, bad = _span_equal(ideal, regen)
+    # inside the ideal, as many distinct leading cells as its dimension span it
+    if bad is None and _distinct_leads(shape, gens, s) >= ideal.dimension:
+        ok = True
+    else:
+        ok, bad = _span_equal(ideal, bruteforce_ideal(shape, [p for p in gs.gens if not p.is_zero]))
     checks.append(CheckResult("span-equality", ok, bad))
 
-    bad = None
-    for j, p in enumerate(gs.gens):
-        layer = gs.layers[j]
-        if any(not p.coord(i).is_zero for i in range(j)):
-            bad = p.to_vector(CODEWORD).tolist()
-            break
-        if p.coord(j) != layer.gen:
-            bad = p.to_vector(CODEWORD).tolist()
-            break
+    below = (arrs.any(axis=1) & np.tri(ng, ell, -1, dtype=bool)).any(axis=1)
+    diag = arrs[np.arange(ng), :, np.arange(ng)].tolist()
+    j = next((j for j in range(ng) if below[j] or diag[j] != list(layers[j].gen.coeffs)), None)
+    bad = None if j is None else gens[j].tolist()
     checks.append(CheckResult("triangular", bad is None, bad))
 
-    bad = None
-    for layer in gs.layers:
-        if layer.is_zero:
-            if layer.deg != s:
-                bad = [layer.index]
-                break
-            continue
+    bad, xs1 = None, xs_minus_one(fld, s)
+    for layer in layers:
         g = layer.gen.lift()
-        if g.lc != 1 or not divides_xs_minus_one(g, s):
+        # cofactor * g = x^s - 1 already proves that g divides x^s - 1
+        holds = not layer.is_zero and g.lc == 1 and layer.cofactor * g == xs1
+        if layer.is_zero:
+            bad = None if layer.deg == s else [layer.index]
+        elif not holds and (g.lc != 1 or not divides_xs_minus_one(g, s)):
             bad = list(layer.gen.coeffs)
-            break
-        if layer.cofactor * g != xs_minus_one(shape.field, s):
+        elif not holds:
             bad = list(layer.cofactor.coeffs)
-            break
-        if layer.deg != g.degree:
+        elif layer.deg != g.degree:
             bad = [layer.deg]
+        if bad is not None:
             break
     checks.append(CheckResult("layer-divides-xs-1", bad is None, bad))
 
     bad = None
-    has_nonzero = any(not layer.is_zero for layer in gs.layers)
-    if has_nonzero and gs.layers[0].is_zero:
+    if live.any() and not live[0]:
         bad = ["layer 0 empty while the ideal is nonzero"]
-    elif has_nonzero:
-        base = gs.layers[0].gen.lift()
-        for j, p in enumerate(gs.gens):
-            if gs.layers[j].is_zero:
+    elif live.any():
+        base = layers[0].gen.lift()
+        w = max(s - base.degree, 0)  # deg t < w keeps t * base below x^s
+        pairs = [(j, i) for j in range(ng) if live[j] for i in range(j, ell)]
+        stored = [gs.quotients[j][i - j] if i - j < len(gs.quotients[j]) else None
+                  for j, i in pairs]
+        fits = np.array([q is not None and len(q.coeffs) <= w for q in stored])
+        t = np.array([q.coeffs + (0,) * (w - len(q.coeffs)) if f else (0,) * w
+                      for q, f in zip(stored, fits)], dtype=np.int64).reshape(-1, w)
+        base_shifts = np.array([(0,) * a + base.coeffs + (0,) * (w - 1 - a) for a in range(w)],
+                               dtype=np.int64).reshape(w, s)
+        jj, ii = np.array(pairs).T
+        coords = arrs[jj, :, ii]
+        # every coordinate = t * base in one dot with the rows x^a * base, a < w
+        same = fits & (fld.dot(t, base_shifts) == coords).all(axis=1)
+        skip = None
+        for r in np.flatnonzero(~same):
+            j, i = pairs[r]
+            if j == skip:
                 continue
-            for i in range(j, shape.ell):
-                q, r = divmod(p.coord(i).lift(), base)
-                if r:
-                    bad = list(p.coord(i).coeffs)
-                    break
-                if gs.quotients[j][i - j] != q:
-                    bad = list(gs.quotients[j][i - j].coeffs)
-                    break
+            # the first mismatch in gens[j]: one division decides which datum is reported
+            q, rem = divmod(Poly(fld, coords[r].tolist()), base)
+            if rem or stored[r] is None:
+                bad = coords[r].tolist()
+            elif stored[r] != q:
+                bad, skip = list(stored[r].coeffs), j  # an empty datum does not end the scan
             if bad:
                 break
     checks.append(CheckResult("base-divisibility", bad is None, bad))
 
-    bad = None
-    for j, p in enumerate(gs.gens):
-        if gs.layers[j].is_zero:
-            continue
-        for i in range(j + 1, shape.ell):
-            li = gs.layers[i]
-            if li.is_zero:
-                continue
-            lift = p.coord(i).lift()
-            if lift and lift.degree >= li.deg:
-                bad = list(p.coord(i).coeffs)
-                break
-        if bad:
-            break
+    # each coordinate i > j of a nonzero gens[j] stays below the degree of nonzero layer i
+    high = ((arrs != 0) & (np.arange(s)[:, None] >= [layer.deg for layer in layers])).any(axis=1)
+    hits = np.flatnonzero(high & ~np.tri(ng, ell, dtype=bool) & live[:ng, None] & live)
+    bad = None if not hits.size else arrs[hits[0] // ell, :, hits[0] % ell].tolist()
     checks.append(CheckResult("canonical-degrees", bad is None, bad))
 
     return Report(tuple(checks))
@@ -345,25 +372,27 @@ def verify_matrix(gm, generators) -> Report:
     ClosureBasis instead."""
     shape = gm.shape
     ideal = _ideal_of(shape, generators)
-    checks = []
 
     rows = _raw_vectors(shape.field, shape.n, gm.rows)
-    red = _Reducer(shape.field, shape.n)
-    red.extend(rows)
-    ok = red.dimension == len(gm.labels)
-    checks.append(CheckResult("rank", ok, None if ok else [red.dimension, len(gm.labels)]))
+    i = ideal._reducer.first_outside(rows)
+    in_ideal = CheckResult("rows-in-ideal", i is None, None if i is None else gm.rows[i].tolist())
+
+    def eliminated():
+        red = _Reducer(shape.field, shape.n)
+        red.extend(rows)
+        return red
+
+    # rows with pairwise distinct leading cells are independent
+    red = None if _distinct_leads(shape, rows, 1) == len(rows) else eliminated()
+    rank = len(rows) if red is None else red.dimension
+    ok = rank == len(gm.labels)
+    rank_check = CheckResult("rank", ok, None if ok else [rank, len(gm.labels)])
 
     bad = None
-    if red.dimension != ideal.dimension:
-        bad = [red.dimension, ideal.dimension]
-    else:
-        i = red.first_outside(ideal.vectors)
+    if rank != ideal.dimension:
+        bad = [rank, ideal.dimension]
+    elif red is not None or not in_ideal.passed:  # else independent rows in the ideal span it
+        i = (red or eliminated()).first_outside(ideal.vectors)
         if i is not None:
             bad = ideal.vectors[i].tolist()
-    checks.append(CheckResult("row-space-equality", bad is None, bad))
-
-    i = ideal._reducer.first_outside(rows)
-    bad = None if i is None else gm.rows[i].tolist()
-    checks.append(CheckResult("rows-in-ideal", bad is None, bad))
-
-    return Report(tuple(checks))
+    return Report((rank_check, CheckResult("row-space-equality", bad is None, bad), in_ideal))

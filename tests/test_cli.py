@@ -130,6 +130,16 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_hamming7_product_matches_golden(tmp_path, capsys):
+    # Hamming7 x Hamming7, <g(x) g(y)> with g = 1 + x + x^3: 49 cells, the
+    # file the installed-script CI step diffs as well
+    g, z = [1, 1, 0, 1, 0, 0, 0], [0] * 7
+    doc = {"field": {"p": 2, "m": 1}, "s": 7, "ell": 7, "generators": [[g, g, z, g, z, z, z]]}
+    code, out, _ = run(capsys, ["verify", "--input", write_problem(tmp_path, doc)])
+    assert code == 0
+    assert out == (DATA / "hamming7_product_verify.json").read_text()
+
+
 def test_verify_corrupt_matches_golden(tmp_path, capsys):
     # recorded before the oracle's span tracking was batched: the failing
     # checks and their counterexamples must not change with its internals

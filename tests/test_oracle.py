@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,8 @@ from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, Poly, RingShape, TooL
                       bruteforce_ideal, check_shift_closure, enumerate_span,
                       extract_generators, generator_matrix, reduced_span,
                       span_basis, verify_generator_set, verify_matrix)
+from tdcyclic import oracle
+from tdcyclic.codegen import GeneratorMatrix
 from tdcyclic.oracle import ClosureBasis
 from conftest import random_generators
 
@@ -320,3 +324,123 @@ def test_closure_is_span_of_all_monomial_shifts(problem):
     got = bruteforce_ideal(sh, [BiPoly(sh, arr) for arr in arrs])
     assert np.array_equal(got.vectors, want)
     assert check_shift_closure(sh, got)
+
+
+def test_missing_quotient_fails_base_divisibility():
+    # <1 + y> over GF(2) 2x2 has a zero layer 1, so gens[1] stores no quotient;
+    # a nonzero layer 1 in its place must fail the check, not index past the table
+    F = GF(2)
+    sh = RingShape(F, 2, 2)
+    gens = [BiPoly(sh, [[1, 1], [0, 0]])]
+    gs = extract_generators(sh, gens)
+    assert gs.to_json_dict()["t"] == [[[1], [1]], []]
+    L0, L1 = gs.layers
+    bad = dataclasses.replace(
+        gs, layers=(L0, dataclasses.replace(L1, gen=CyclicPoly(F, [1, 0]), deg=0)),
+        gens=(gs.gens[0], BiPoly(sh, [[0, 1], [0, 0]])))
+    assert verify_generator_set(bad, gens).to_json_dict() == {"checks": [
+        {"name": "gens-in-ideal", "pass": False, "counterexample": [0, 1, 0, 0]},
+        {"name": "span-equality", "pass": False, "counterexample": None},
+        {"name": "triangular", "pass": True, "counterexample": None},
+        {"name": "layer-divides-xs-1", "pass": False, "counterexample": [1]},
+        {"name": "base-divisibility", "pass": False, "counterexample": [1, 0]},
+        {"name": "canonical-degrees", "pass": False, "counterexample": [1, 0]}]}
+
+
+def test_stored_quotient_too_long_for_its_coordinate_fails():
+    # <1 + x>: the y^1 coordinate of gens[0] is zero, so its quotient must be
+    # zero; x times the base has degree s and cannot be any coordinate
+    F = GF(2)
+    sh, gens = fixture_problem()
+    gs = extract_generators(sh, gens)
+    t = gs.quotients
+    assert [[q.coeffs for q in qs] for qs in t] == [[(1,), ()], [(1,)]]
+    bad = dataclasses.replace(gs, quotients=((t[0][0], Poly(F, [0, 1])),) + t[1:])
+    assert _failures(verify_generator_set(bad, gens)) == [("base-divisibility", [0, 1])]
+
+
+def test_rows_sharing_a_leading_cell_pass_through_the_elimination():
+    # 1 + x and (1 + x)(1 + y) both lead at cell x^1 y^0: independent, but
+    # their rank needs the elimination
+    sh, gens = fixture_problem()
+    rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1]])
+    assert oracle._distinct_leads(sh, rows, 1) == 1
+    gm = GeneratorMatrix(sh, rows, ((0, 0), (1, 0)))
+    closure = bruteforce_ideal(sh, gens)
+    extends = []
+    real_extend = oracle._Reducer.extend
+    with mock.patch.object(oracle._Reducer, "extend",
+                           lambda red, mat: extends.append(len(mat)) or real_extend(red, mat)):
+        rep = verify_matrix(gm, closure)
+    assert rep.passed and extends == [2]
+
+
+def _below_lead(rng, sh, vec):
+    """vec plus random entries in the cells after its leading cell: the
+    leading cells a certificate counts stay as they were."""
+    order = oracle._lead_order(sh.s, sh.ell)[0]
+    out = np.array(vec)
+    lead = int(np.flatnonzero(out[order])[0])
+    tail = order[lead + 1:]
+    noise = np.array([rng.randrange(sh.field.q) for _ in tail], dtype=np.int64)
+    out[tail] = sh.field.add_arrays(out[tail], noise)
+    return out
+
+
+def _corrupted(rng, sh, gs, gm, kind):
+    """One of nine corruptions of a GeneratorSet or of its matrix."""
+    F = sh.field
+    gens, rows, labels = list(gs.gens), gm.rows.copy(), gm.labels
+    live = [j for j, p in enumerate(gens) if not p.is_zero]
+    stranger = BiPoly(sh, [[rng.randrange(F.q) for _ in range(sh.ell)] for _ in range(sh.s)])
+    if kind == "generator perturbed below its leading cell" and live:
+        j = rng.choice(live)
+        gens[j] = BiPoly.from_vector(sh, _below_lead(rng, sh, gens[j].to_vector("codeword")),
+                                     "codeword")
+    elif kind == "row perturbed below its leading cell" and gm.k:
+        r = rng.randrange(gm.k)
+        rows[r] = _below_lead(rng, sh, rows[r])
+    elif kind == "random generator" and live:
+        gens[rng.choice(live)] = stranger
+    elif kind == "dropped generator" and live:
+        gens[rng.choice(live)] = BiPoly.zero(sh)
+    elif kind == "shifted and scaled generator" and live:
+        j = rng.choice(live)
+        gens[j] = gens[j].shift_x(rng.randrange(sh.s)).scale(rng.randrange(1, F.q))
+    elif kind == "random row" and gm.k:
+        rows[rng.randrange(gm.k)] = stranger.to_vector("codeword")
+    elif kind == "permuted rows, one a sum of two" and gm.k >= 2:
+        rows = rows[rng.sample(range(gm.k), gm.k)]
+        a, b = rng.sample(range(gm.k), 2)
+        rows[rng.randrange(gm.k)] = F.add_arrays(rows[a], rows[b])
+    elif kind == "duplicated row" and gm.k:
+        rows, labels = np.vstack([rows, rows[rng.randrange(gm.k)]]), labels + ((9, 9),)
+    elif kind == "dropped row" and gm.k:
+        d = rng.randrange(gm.k)
+        rows, labels = np.delete(rows, d, axis=0), labels[:d] + labels[d + 1:]
+    return (dataclasses.replace(gs, gens=tuple(gens)),
+            dataclasses.replace(gm, rows=rows, labels=labels))
+
+
+_CORRUPTIONS = ("none", "random generator", "dropped generator", "shifted and scaled generator",
+                "generator perturbed below its leading cell", "random row",
+                "permuted rows, one a sum of two", "duplicated row", "dropped row",
+                "row perturbed below its leading cell")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_ideals(), st.sampled_from(_CORRUPTIONS), st.randoms(use_true_random=False))
+def test_reports_match_the_reports_without_certificates(problem, kind, rng):
+    sh, arrs = problem
+    gens = [BiPoly(sh, arr) for arr in arrs]
+    gs = extract_generators(sh, gens)
+    gs, gm = _corrupted(rng, sh, gs, generator_matrix(gs), kind)
+    closure = bruteforce_ideal(sh, gens)
+    got = (verify_generator_set(gs, closure).to_json_dict(),
+           verify_matrix(gm, closure).to_json_dict())
+    # a count of -1 reaches no dimension, not even the zero ideal's: every span
+    # and rank is then closed or eliminated
+    with mock.patch.object(oracle, "_distinct_leads", lambda *args: -1):
+        want = (verify_generator_set(gs, closure).to_json_dict(),
+                verify_matrix(gm, closure).to_json_dict())
+    assert got == want
