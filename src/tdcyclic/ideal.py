@@ -171,12 +171,23 @@ class GeneratorSet:
     generator and ``quotients[j][i - j]`` stores that quotient for the y^i
     coordinate.  Hermite reduction makes the whole structure unique for
     the ideal, so equal spans give byte-identical serializations.
+    ``layers``, ``gens`` and ``quotients`` have one entry per layer, and
+    every generating polynomial has the set's shape; construction checks
+    both.  A zero layer stores no quotients.
     """
 
     shape: RingShape
     layers: tuple[LayerInfo, ...]
     gens: tuple[BiPoly, ...]
     quotients: tuple[tuple[Poly, ...], ...]
+
+    def __post_init__(self):
+        ell = self.shape.ell
+        if not len(self.layers) == len(self.gens) == len(self.quotients) == ell:
+            raise ValueError(f"{len(self.layers)} layers, {len(self.gens)} gens and "
+                             f"{len(self.quotients)} quotient rows do not match ell = {ell}")
+        if any(g.shape != self.shape for g in self.gens):
+            raise ValueError("generating polynomial does not match the ring shape")
 
     def to_json_dict(self) -> dict:
         return {

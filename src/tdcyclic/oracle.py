@@ -27,6 +27,13 @@ distinct leading cells as its dimension span it, and k rows with k
 distinct leading cells have rank k.  The condition is only sufficient:
 where it falls short the closure or the elimination runs, and every
 failure and its counterexample come from that computation.
+
+Each check reports its first failing datum, in a fixed order: layers,
+generating polynomials, their coordinates by y-degree, matrix rows and
+closure vectors, each by index.  A vector or a residue mod x^s - 1 is
+reported with all its entries; a stored quotient or a cofactor with its
+coefficients up to its degree, lowest first, so the zero polynomial is
+``[]``.
 """
 
 from __future__ import annotations
@@ -288,8 +295,7 @@ def verify_generator_set(gs, generators) -> Report:
     checks = []
 
     arrs = np.stack([p.arr for p in gs.gens])  # arrs[j, i, c]: x^i y^c coefficient of gens[j]
-    ng = len(arrs)
-    gens = arrs.reshape(ng, shape.n)
+    gens = arrs.reshape(ell, shape.n)
     i = ideal._reducer.first_outside(gens)
     bad = None if i is None else gens[i].tolist()
     checks.append(CheckResult("gens-in-ideal", bad is None, bad))
@@ -301,23 +307,21 @@ def verify_generator_set(gs, generators) -> Report:
         ok, bad = _span_equal(ideal, bruteforce_ideal(shape, [p for p in gs.gens if not p.is_zero]))
     checks.append(CheckResult("span-equality", ok, bad))
 
-    below = (arrs.any(axis=1) & np.tri(ng, ell, -1, dtype=bool)).any(axis=1)
-    diag = arrs[np.arange(ng), :, np.arange(ng)].tolist()
-    j = next((j for j in range(ng) if below[j] or diag[j] != list(layers[j].gen.coeffs)), None)
+    below = (arrs.any(axis=1) & np.tri(ell, k=-1, dtype=bool)).any(axis=1)
+    diag = arrs[np.arange(ell), :, np.arange(ell)].tolist()
+    j = next((j for j in range(ell) if below[j] or diag[j] != list(layers[j].gen.coeffs)), None)
     bad = None if j is None else gens[j].tolist()
     checks.append(CheckResult("triangular", bad is None, bad))
 
     bad, xs1 = None, xs_minus_one(fld, s)
     for layer in layers:
         g = layer.gen.lift()
-        # cofactor * g = x^s - 1 already proves that g divides x^s - 1
-        holds = not layer.is_zero and g.lc == 1 and layer.cofactor * g == xs1
         if layer.is_zero:
             bad = None if layer.deg == s else [layer.index]
-        elif not holds and (g.lc != 1 or not divides_xs_minus_one(g, s)):
-            bad = list(layer.gen.coeffs)
-        elif not holds:
-            bad = list(layer.cofactor.coeffs)
+        # cofactor * g = x^s - 1 proves that g divides x^s - 1; else one division decides
+        elif g.lc != 1 or layer.cofactor * g != xs1:
+            divisor = g.lc == 1 and divides_xs_minus_one(g, s)
+            bad = list((layer.cofactor if divisor else layer.gen).coeffs)
         elif layer.deg != g.degree:
             bad = [layer.deg]
         if bad is not None:
@@ -329,8 +333,8 @@ def verify_generator_set(gs, generators) -> Report:
         bad = ["layer 0 empty while the ideal is nonzero"]
     elif live.any():
         base = layers[0].gen.lift()
-        w = max(s - base.degree, 0)  # deg t < w keeps t * base below x^s
-        pairs = [(j, i) for j in range(ng) if live[j] for i in range(j, ell)]
+        w = s - base.degree  # deg t < w keeps t * base below x^s
+        pairs = [(j, i) for j in range(ell) if live[j] for i in range(j, ell)]
         stored = [gs.quotients[j][i - j] if i - j < len(gs.quotients[j]) else None
                   for j, i in pairs]
         fits = np.array([q is not None and len(q.coeffs) <= w for q in stored])
@@ -341,25 +345,18 @@ def verify_generator_set(gs, generators) -> Report:
         jj, ii = np.array(pairs).T
         coords = arrs[jj, :, ii]
         # every coordinate = t * base in one dot with the rows x^a * base, a < w
-        same = fits & (fld.dot(t, base_shifts) == coords).all(axis=1)
-        skip = None
-        for r in np.flatnonzero(~same):
-            j, i = pairs[r]
-            if j == skip:
-                continue
-            # the first mismatch in gens[j]: one division decides which datum is reported
-            q, rem = divmod(Poly(fld, coords[r].tolist()), base)
-            if rem or stored[r] is None:
-                bad = coords[r].tolist()
-            elif stored[r] != q:
-                bad, skip = list(stored[r].coeffs), j  # an empty datum does not end the scan
-            if bad:
-                break
+        miss = np.flatnonzero(~fits | (fld.dot(t, base_shifts) != coords).any(axis=1))
+        if miss.size:
+            # the first failing pair: its coordinate, unless some quotient times the
+            # base gives it, in which case the stored quotient is the wrong one
+            r = miss[0]
+            rem = Poly(fld, coords[r].tolist()) % base
+            bad = coords[r].tolist() if rem or stored[r] is None else list(stored[r].coeffs)
     checks.append(CheckResult("base-divisibility", bad is None, bad))
 
     # each coordinate i > j of a nonzero gens[j] stays below the degree of nonzero layer i
     high = ((arrs != 0) & (np.arange(s)[:, None] >= [layer.deg for layer in layers])).any(axis=1)
-    hits = np.flatnonzero(high & ~np.tri(ng, ell, dtype=bool) & live[:ng, None] & live)
+    hits = np.flatnonzero(high & ~np.tri(ell, dtype=bool) & live[:, None] & live)
     bad = None if not hits.size else arrs[hits[0] // ell, :, hits[0] % ell].tolist()
     checks.append(CheckResult("canonical-degrees", bad is None, bad))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -225,6 +226,25 @@ def test_extract_zero_ideal():
     assert all(p.is_zero for p in gs.gens)
     assert all(L.is_zero and L.deg == 3 for L in gs.layers)
     assert gs.quotients == ((), ())
+
+
+@pytest.mark.parametrize("table", ["layers", "gens", "quotients"])
+def test_generator_set_needs_one_entry_per_layer(table):
+    # generator_matrix, decompose and the oracle index every table by layer
+    sh, gens = fixture()
+    gs = extract_generators(sh, gens)
+    lengths = [1 if t == table else 2 for t in ("layers", "gens", "quotients")]
+    message = "^{} layers, {} gens and {} quotient rows do not match ell = 2$".format(*lengths)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(gs, **{table: getattr(gs, table)[:1]})
+
+
+def test_generator_set_of_another_shape_refused():
+    sh, gens = fixture()
+    gs = extract_generators(sh, gens)
+    stranger = BiPoly.zero(RingShape(GF(3), 2, 2))
+    with pytest.raises(ValueError, match="^generating polynomial does not match the ring shape$"):
+        dataclasses.replace(gs, gens=(gs.gens[0], stranger))
 
 
 def test_generators_member_of_ideal():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, Poly, RingShape, TooLargeError,
                       bruteforce_ideal, check_shift_closure, enumerate_span,
                       extract_generators, generator_matrix, reduced_span,
-                      span_basis, verify_generator_set, verify_matrix)
+                      span_basis, verify_generator_set, verify_matrix, xs_minus_one)
 from tdcyclic import oracle
 from tdcyclic.codegen import GeneratorMatrix
 from tdcyclic.oracle import ClosureBasis
@@ -444,3 +444,108 @@ def test_reports_match_the_reports_without_certificates(problem, kind, rng):
         want = (verify_generator_set(gs, closure).to_json_dict(),
                 verify_matrix(gm, closure).to_json_dict())
     assert got == want
+
+
+def test_base_divisibility_reports_the_first_failing_pair():
+    # <1 + x>: gens[0] made (1 + x)(1 + y) keeps the zero quotient stored for
+    # its y^1 coordinate, and gens[1] stores x; the first failing pair,
+    # gens[0] at y^1, decides the datum: that stored quotient, []
+    F = GF(2)
+    sh, gens = fixture_problem()
+    gs = extract_generators(sh, gens)
+    t = gs.quotients
+    bad = dataclasses.replace(gs, gens=(BiPoly(sh, [[1, 1], [1, 1]]), gs.gens[1]),
+                              quotients=(t[0], (Poly(F, [0, 1]),)))
+    assert _failures(verify_generator_set(bad, gens)) == [
+        ("base-divisibility", []), ("canonical-degrees", [1, 1])]
+
+
+def _reference_layer_checks(gs):
+    """The layer-divides-xs-1 and base-divisibility data by the failure
+    rule, one layer and one (j, i) pair at a time: each pair takes one Poly
+    product and one remainder, and the first failing one is reported."""
+    F, s, ell = gs.shape.field, gs.shape.s, gs.shape.ell
+    xs1, divides = xs_minus_one(F, s), None
+    for L in gs.layers:
+        g = L.gen.lift()
+        if L.is_zero:
+            divides = None if L.deg == s else [L.index]
+        elif g.lc != 1 or xs1 % g:
+            divides = list(L.gen.coeffs)
+        elif L.cofactor * g != xs1:
+            divides = list(L.cofactor.coeffs)
+        elif L.deg != g.degree:
+            divides = [L.deg]
+        if divides is not None:
+            break
+    live = [j for j, L in enumerate(gs.layers) if not L.is_zero]
+    if live and live[0] != 0:
+        return divides, ["layer 0 empty while the ideal is nonzero"]
+    base = gs.layers[0].gen.lift()
+    for j in live:
+        for i in range(j, ell):
+            coord = gs.gens[j].coord(i).lift()
+            row = gs.quotients[j]
+            q = row[i - j] if i - j < len(row) else None
+            if q is not None and q * base == coord:
+                continue
+            if q is None or coord % base:
+                return divides, gs.gens[j].arr[:, i].tolist()
+            return divides, list(q.coeffs)
+    return divides, None
+
+
+def _corrupted_layers(rng, sh, gs, kind):
+    """One corruption of the layers, the generating polynomials or the
+    quotient table of a GeneratorSet, at a random nonzero layer."""
+    F, s, ell = sh.field, sh.s, sh.ell
+    layers, gens, t = list(gs.layers), list(gs.gens), [list(row) for row in gs.quotients]
+    j = rng.choice([j for j, L in enumerate(layers) if not L.is_zero] or range(ell))
+    L = layers[j]
+
+    def poly(size):
+        return Poly(F, [rng.randrange(F.q) for _ in range(size)])
+
+    if kind == "random quotient" and t[j]:
+        t[j][rng.randrange(len(t[j]))] = poly(rng.randint(1, s))
+    elif kind == "zero quotient" and t[j]:
+        t[j][rng.randrange(len(t[j]))] = Poly(F)
+    elif kind == "short quotient row":
+        t[j] = t[j][:rng.randrange(len(t[j]) + 1)]
+    elif kind == "random generator":
+        gens[j] = BiPoly(sh, [[rng.randrange(F.q) for _ in range(ell)] for _ in range(s)])
+    elif kind == "shifted and scaled generator":
+        gens[j] = gens[j].shift_x(rng.randrange(s)).scale(rng.randrange(1, F.q))
+    elif kind == "one changed cell":
+        arr = gens[j].to_array()
+        arr[rng.randrange(s), rng.randrange(ell)] = rng.randrange(F.q)
+        gens[j] = BiPoly(sh, arr)
+    elif kind == "layer generator":
+        # a random residue, or a multiple of the layer generator that may not be monic
+        gen = CyclicPoly(F, [rng.randrange(F.q) for _ in range(s)])
+        scaled = L.gen.scale(rng.randrange(1, F.q))
+        layers[j] = dataclasses.replace(L, gen=rng.choice([gen, scaled]))
+    elif kind == "layer cofactor":
+        layers[j] = dataclasses.replace(L, cofactor=poly(rng.randint(0, s + 1)))
+    elif kind == "layer degree":
+        layers[j] = dataclasses.replace(L, deg=rng.randint(0, s))
+    return dataclasses.replace(gs, layers=tuple(layers), gens=tuple(gens),
+                               quotients=tuple(tuple(row) for row in t))
+
+
+_LAYER_CORRUPTIONS = ("random quotient", "zero quotient", "short quotient row",
+                      "random generator", "shifted and scaled generator", "one changed cell",
+                      "layer generator", "layer cofactor", "layer degree")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_ideals(), st.lists(st.sampled_from(_LAYER_CORRUPTIONS), max_size=3),
+       st.randoms(use_true_random=False))
+def test_layer_checks_match_a_pair_by_pair_reference(problem, kinds, rng):
+    sh, arrs = problem
+    gens = [BiPoly(sh, arr) for arr in arrs]
+    gs = extract_generators(sh, gens)
+    for kind in kinds:
+        gs = _corrupted_layers(rng, sh, gs, kind)
+    data = {c.name: c.counterexample for c in verify_generator_set(gs, gens).checks}
+    assert (data["layer-divides-xs-1"], data["base-divisibility"]) == _reference_layer_checks(gs)
