@@ -173,7 +173,8 @@ class GeneratorSet:
     the ideal, so equal spans give byte-identical serializations.
     ``layers``, ``gens`` and ``quotients`` have one entry per layer, and
     every generating polynomial has the set's shape; construction checks
-    both.  A zero layer stores no quotients.
+    both.  A zero layer stores no quotients, and its generating polynomial
+    is zero.
     """
 
     shape: RingShape

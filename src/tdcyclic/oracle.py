@@ -16,8 +16,12 @@ as its pivot, and one whole-matrix update clears that column from every
 other row.  The closure runs in rounds: each round shifts every row the
 previous round added, both ways at once by an index gather, and adds
 that batch to the span; it stops at the first round that adds nothing.
-Raw vectors are canonicalized as ``BiPoly`` does it: their length must
-be s*ell, and entries are taken mod q.
+Every element and raw vector reaches the elimination through one gate,
+``_raw_vectors``: an element (``BiPoly``) must have the ring's shape and
+is read in codeword order, and a raw vector must have s*ell entries,
+taken mod q as ``BiPoly`` takes them.  A closure given in place of
+generators must have the ring's shape too.  Anything else raises
+``ValueError``.
 
 A rank certificate shortcuts a passing check.  The leading cell of a
 nonzero vector is its first nonzero cell, y ascending, then x
@@ -45,7 +49,7 @@ import numpy as np
 
 from .errors import BoundsError, TooLargeError
 from .polyring import Poly, divides_xs_minus_one, xs_minus_one
-from .ring2d import CODEWORD, BiPoly, RingShape
+from .ring2d import BiPoly, RingShape
 
 MAX_ORACLE_LENGTH = 64
 MAX_SPAN_ENUMERATION = 1 << 20
@@ -139,11 +143,16 @@ def _distinct_leads(shape: RingShape, vecs: np.ndarray, shifts: int) -> int:
     return int(seen[:n].sum())
 
 
-def _raw_vectors(fld, n: int, vectors) -> np.ndarray:
-    """Stack raw vectors as canonical length-n rows: every vector must
-    have n entries, and entries are reduced mod q."""
+def _raw_vectors(fld, n: int, vectors, shape: RingShape | None = None) -> np.ndarray:
+    """Stack elements and raw vectors as canonical length-n codeword rows:
+    an element must have the ring shape ``shape`` (with no shape, none is
+    accepted), a raw vector n entries, and entries are reduced mod q."""
     out = np.zeros((len(vectors), n), dtype=np.int64)
     for t, v in enumerate(vectors):
+        if isinstance(v, BiPoly):
+            if v.shape != shape:
+                raise ValueError("generator does not match the ring shape")
+            v = v.arr
         a = np.asarray(v, dtype=np.int64).reshape(-1)
         if a.size != n:
             raise ValueError(f"vector length {a.size} != n = {n}")
@@ -153,7 +162,9 @@ def _raw_vectors(fld, n: int, vectors) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClosureBasis:
-    """Echelonized basis (codeword order) of a shift-closed span."""
+    """Echelonized basis (codeword order) of a shift-closed span.  ``contains``
+    and ``contains_elem`` are one check of an element of the ring's shape or a
+    raw vector of s*ell entries, taken mod q; anything else raises ValueError."""
 
     shape: RingShape
     vectors: np.ndarray
@@ -164,11 +175,11 @@ class ClosureBasis:
         return self.vectors.shape[0]
 
     def contains(self, vec) -> bool:
-        return self._reducer.first_outside(
-            _raw_vectors(self.shape.field, self.shape.n, [vec])) is None
+        sh = self.shape
+        return self._reducer.first_outside(_raw_vectors(sh.field, sh.n, [vec], sh)) is None
 
     def contains_elem(self, e: BiPoly) -> bool:
-        return self._reducer.first_outside(e.to_vector(CODEWORD)[None, :]) is None
+        return self.contains(e)
 
 
 def bruteforce_ideal(shape: RingShape, generators) -> ClosureBasis:
@@ -183,16 +194,8 @@ def bruteforce_ideal(shape: RingShape, generators) -> ClosureBasis:
     """
     if shape.n > MAX_ORACLE_LENGTH:
         raise BoundsError(f"oracle handles s*ell <= {MAX_ORACLE_LENGTH}, got {shape.n}")
-    raw = []
-    for g in generators:
-        if isinstance(g, BiPoly):
-            if g.shape != shape:
-                raise ValueError("generator does not match the ring shape")
-            raw.append(g.to_vector(CODEWORD))
-        else:
-            raw.append(g)
     red = _Reducer(shape.field, shape.n)
-    added = red.extend(_raw_vectors(shape.field, shape.n, raw))
+    added = red.extend(_raw_vectors(shape.field, shape.n, list(generators), shape))
     while added.size and red.dimension < shape.n:
         added = red.extend(_shifts(shape, added))
     return ClosureBasis(shape, red.reduced_rows(), red)
@@ -215,18 +218,21 @@ def enumerate_span(basis: ClosureBasis) -> np.ndarray:
 
 def reduced_span(fld, n: int, vectors) -> np.ndarray:
     """Unique reduced-echelon basis of the span of raw length-n vectors,
-    computed by this module's own elimination routine."""
+    computed by this module's own elimination routine.  There is no ring
+    shape here, so an element raises ValueError."""
     red = _Reducer(fld, n)
     red.extend(_raw_vectors(fld, n, list(vectors)))
     return red.reduced_rows()
 
 
 def check_shift_closure(shape: RingShape, vectors) -> bool:
-    """True iff the span of the given codeword vectors is closed under
-    both shifts.  The span is NOT closed first; that is the point."""
+    """True iff the span of the given vectors is closed under both shifts:
+    elements of the ring's shape, raw vectors of s*ell entries (taken mod
+    q) or a closure of the same shape; anything else raises ValueError.
+    The span is NOT closed first; that is the point."""
     if isinstance(vectors, ClosureBasis):
-        vectors = vectors.vectors
-    vs = _raw_vectors(shape.field, shape.n, list(vectors))
+        vectors = _ideal_of(shape, vectors).vectors
+    vs = _raw_vectors(shape.field, shape.n, list(vectors), shape)
     red = _Reducer(shape.field, shape.n)
     red.extend(vs)
     return red.first_outside(_shifts(shape, vs)) is None
@@ -307,7 +313,8 @@ def verify_generator_set(gs, generators) -> Report:
         ok, bad = _span_equal(ideal, bruteforce_ideal(shape, [p for p in gs.gens if not p.is_zero]))
     checks.append(CheckResult("span-equality", ok, bad))
 
-    below = (arrs.any(axis=1) & np.tri(ell, k=-1, dtype=bool)).any(axis=1)
+    # gens[j] vanishes below y^j, and everywhere when layer j is zero
+    below = (arrs.any(axis=1) & (np.tri(ell, k=-1, dtype=bool) | ~live[:, None])).any(axis=1)
     diag = arrs[np.arange(ell), :, np.arange(ell)].tolist()
     j = next((j for j in range(ell) if below[j] or diag[j] != list(layers[j].gen.coeffs)), None)
     bad = None if j is None else gens[j].tolist()

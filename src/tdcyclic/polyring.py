@@ -205,6 +205,8 @@ def divides_xs_minus_one(f: Poly, s: int) -> bool:
 
 def cofactor(f: Poly, s: int) -> Poly:
     """Exact quotient (x^s - 1) / f; raises ValueError if f is not a divisor."""
+    if not f:
+        raise ValueError("zero polynomial divides nothing")
     q, r = divmod(xs_minus_one(f.field, s), f)
     if r:
         raise ValueError(f"{f!r} does not divide x^{s} - 1")

@@ -18,6 +18,7 @@ from tdcyclic import (GF, BiPoly, BoundsError, CyclicPoly, Poly, RingShape, TooL
                       span_basis, verify_generator_set, verify_matrix, xs_minus_one)
 from tdcyclic import oracle
 from tdcyclic.codegen import GeneratorMatrix
+from tdcyclic.ideal import LayerInfo
 from tdcyclic.oracle import ClosureBasis
 from conftest import random_generators
 
@@ -265,6 +266,66 @@ def test_generator_of_another_shape_is_refused():
     sh, gens = fixture_problem()
     with pytest.raises(ValueError, match="^generator does not match the ring shape$"):
         bruteforce_ideal(sh, gens + [BiPoly.one(RingShape(GF(2), 2, 3))])
+
+
+def _closure_of_1_plus_y():
+    sh = RingShape(GF(2), 2, 3)
+    closure = bruteforce_ideal(sh, [BiPoly(sh, [[1, 1, 0], [0, 0, 0]])])
+    assert closure.dimension == 4
+    return closure
+
+
+# the oracle's entry points, each reading one input against the closure above
+_ENTRY_POINTS = {
+    "contains": lambda closure, v: closure.contains(v),
+    "contains_elem": lambda closure, v: closure.contains_elem(v),
+    "check_shift_closure": lambda closure, v: check_shift_closure(closure.shape, [v]),
+    "reduced_span": lambda closure, v: reduced_span(closure.shape.field, 6, [v]).tolist(),
+    "bruteforce_ideal": lambda closure, v: bruteforce_ideal(closure.shape, [v]).vectors.tolist(),
+}
+_ELEMENTS = {
+    "member": (RingShape(GF(2), 2, 3), [[0, 1, 1], [0, 1, 1]]),
+    "non-member": (RingShape(GF(2), 2, 3), [[1, 0, 0], [0, 0, 0]]),
+    "shape 3x2": (RingShape(GF(2), 3, 2), [[1, 1], [0, 0], [0, 0]]),
+    "over GF(4)": (RingShape(GF(2, 2), 2, 3), [[3, 3, 0], [0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("element", _ELEMENTS)
+def test_entry_points_read_an_element_as_its_raw_vector_or_refuse_it(entry, element):
+    closure, call = _closure_of_1_plus_y(), _ENTRY_POINTS[entry]
+    shape, arr = _ELEMENTS[element]
+    if shape == closure.shape and entry != "reduced_span":
+        assert call(closure, BiPoly(shape, arr)) == call(closure, np.reshape(arr, -1).tolist())
+    else:
+        # the same n, another shape or field; reduced_span has no ring shape at all
+        with pytest.raises(ValueError, match="^generator does not match the ring shape$"):
+            call(closure, BiPoly(shape, arr))
+
+
+@pytest.mark.parametrize("shape", [RingShape(GF(2), 3, 2), RingShape(GF(2, 2), 2, 3)],
+                         ids=["shape 3x2", "over GF(4)"])
+def test_shift_closure_reads_a_closure_of_its_own_shape_only(shape):
+    closure = _closure_of_1_plus_y()
+    assert check_shift_closure(closure.shape, closure)
+    with pytest.raises(ValueError, match="^closure does not match the ring shape$"):
+        check_shift_closure(shape, closure)
+
+
+def test_zero_layer_with_a_nonzero_generating_polynomial_fails_triangular():
+    # <1> over GF(2), s = 1, ell = 3, with layer 1 claimed zero but gens[1] = y^2:
+    # the generating polynomial of a zero layer must vanish everywhere
+    F = GF(2)
+    sh = RingShape(F, 1, 3)
+    gens = [BiPoly.one(sh)]
+    gs = extract_generators(sh, gens)
+    layers, polys, t = list(gs.layers), list(gs.gens), list(gs.quotients)
+    layers[1] = LayerInfo(1, CyclicPoly.zero(F, 1), 1, Poly.one(F))
+    polys[1] = BiPoly(sh, [[0, 0, 1]])
+    t[1] = ()
+    bad = dataclasses.replace(gs, layers=tuple(layers), gens=tuple(polys), quotients=tuple(t))
+    assert _failures(verify_generator_set(bad, gens)) == [("triangular", [0, 0, 1])]
 
 
 def test_raw_vectors_canonicalized_in_subprocess():

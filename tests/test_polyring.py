@@ -188,6 +188,11 @@ def test_divisor_and_cofactor():
             xs_minus_one(F, s)
 
 
+def test_cofactor_of_zero_is_refused():
+    with pytest.raises(ValueError, match="^zero polynomial divides nothing$"):
+        cofactor(Poly.zero(GF(2)), 2)
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
         Poly(GF(2), [1]) + Poly(GF(3), [1])
