@@ -7,32 +7,25 @@ dimension is the sum of s - deg over the layers.
 
 Minimum distance is the Brouwer-Zimmermann information-set search
 (Zimmermann 1996; Grassl 2006) on the generator matrix, under a hard cap
-on q^k, desk scale only.  The matrix is put in systematic form on
-information sets that take new columns first.  Messages of weight
-w = 1, 2, ... are encoded on each of them, which lowers an upper bound
-on d, while the weight every unseen codeword must carry on the new
-columns raises a lower bound; the search stops when the bounds meet.  A
-code of the ring is closed under the s*ell shifts x^a y^b, which move
-the coordinates transitively, so a shift image of the first information
-set is an information set too, whose words are shifted copies of the
-first set's, of the same weights (the automorphism refinement of Grassl
-2006).  Such images raise the lower bound but are never enumerated.  The
-later sets form one greedy sequence: an echelon form on the unused
-columns is computed only when no image takes as many new columns as a
-set could, and taken only when it takes more than the best image.  Shift
-closure is tested on the rows, not assumed: rows that are not closed get
-echelon sets only.
+on q^k, desk scale only.  The matrix is put in systematic form on one
+information set I, in natural column order.  Messages of weight
+w = 1, 2, ... are encoded, which lowers an upper bound on d, while every
+codeword not yet seen weighs more than w on I, which raises a lower
+bound; the search stops when the bounds meet.  A code of the ring is
+closed under the s*ell shifts x^a y^b, and one shift takes any cell to
+any other, so averaged over the shifts a codeword of weight t has
+k*t/n cells on I: some shift of it, of the same weight, is seen by
+level k*t/n.  So after level w the lower bound is ceil(n (w + 1) / k),
+not w + 1 (the automorphism refinement of Grassl 2006, by averaging).
+Shift closure is tested on the rows, not assumed, and only once the
+bound w + 1 falls short: rows that are not closed keep w + 1.
 
-The search does only the work its bounds use, and works both bounds out
-from each set's levels done.  The sets after the first are taken in one
-pull, at the first level where one of them could raise the lower bound.
-A set is enumerated only once its lower-bound term is positive, catching
-up its lower levels then.  Each weight level is grown from the one below
-by adding one scaled row, in chunks of at most ``_GATHER_ELEMS`` entries,
-the chunk budget the ring's products use too.  A set keeps its last level
-when that level came in one chunk, and rebuilds it from weight 1
-otherwise.  Kept words count against the same budget, so the working set
-stays a few chunk-sized arrays over every field, however long the code is.
+Each weight level is grown from the one below by adding one scaled row,
+in chunks of at most ``_GATHER_ELEMS`` entries, the chunk budget the
+ring's products use too.  The search keeps its last level when that
+level came in one chunk, and rebuilds it from weight 1 otherwise, so the
+working set stays a few chunk-sized arrays over every field, however
+long the code is.
 """
 
 from __future__ import annotations
@@ -53,18 +46,18 @@ DEFAULT_CAP = 1 << 20
 class GeneratorMatrix:
     """k x (s*ell) matrix over the field in codeword (row-major) order,
     with a (layer, x-shift) label per row.  The rows must have shape
-    (len(labels), n); their entries are taken mod q into a read-only copy."""
+    (len(labels), n); their entries go through Field.make_array, which
+    refuses a non-integer, into a read-only copy taken mod q."""
 
     shape: RingShape
     rows: np.ndarray
     labels: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = self.shape.field.make_array(self.rows)
         if rows.shape != (len(self.labels), self.shape.n):
             raise ValueError(f"rows of shape {rows.shape} do not match "
                              f"(len(labels), n) = ({len(self.labels)}, {self.shape.n})")
-        rows = rows % self.shape.field.q
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -112,21 +105,20 @@ def generator_matrix(gs: GeneratorSet) -> GeneratorMatrix:
 def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
     """F-linear combination of the rows by a length-k message vector."""
     fld = gm.shape.field
-    m = np.asarray(msg, dtype=np.int64)
+    m = fld.make_array(msg)
     if m.shape != (gm.k,):
         raise ValueError(f"message length {m.size} != k = {gm.k}")
-    return fld.dot(m % fld.q, gm.rows)
+    return fld.dot(m, gm.rows)
 
 
-def _shift_images(shape: RingShape, gamma: np.ndarray, pivots) -> np.ndarray | None:
-    """The columns of the pivot set I under every shift x^a y^b, one
-    (s*ell, k) row per shift, if the row space of gamma is closed under
-    shifts; None if it is not.
+def _shift_closed(shape: RingShape, gamma: np.ndarray, pivots) -> bool:
+    """Whether the row space of gamma, whose pivot columns hold the
+    identity, is closed under the shifts x^a y^b.
 
     Closure is tested on the one-step x- and y-shifts of the rows, which
     generate every shift: each shifted row must reduce to zero against
-    gamma, whose columns I hold the identity.  The rows are shifted and
-    reduced in chunks whose products fit the _GATHER_ELEMS budget."""
+    gamma.  The rows are shifted and reduced in chunks whose products fit
+    the _GATHER_ELEMS budget."""
     fld, s, ell, n = shape.field, shape.s, shape.ell, shape.n
     k = len(pivots)
     cells = np.arange(n).reshape(s, ell)
@@ -137,59 +129,8 @@ def _shift_images(shape: RingShape, gamma: np.ndarray, pivots) -> np.ndarray | N
     for a in range(0, k, step):
         shifted = gamma[a:a + step, src].reshape(-1, n)
         if fld.sub_arrays(shifted, fld.dot(shifted[:, pivots], gamma)).any():
-            return None
-    # x^-a y^-b takes cell (i, j) to ((i - a) % s, (j - b) % ell)
-    i, j = np.divmod(np.asarray(pivots), ell)
-    rows_i = shift_source(s, np.arange(s))[:, i]
-    cols_j = shift_source(ell, np.arange(ell))[:, j]
-    return (rows_i[:, None] * ell + cols_j[None, :]).reshape(-1, k)
-
-
-def _information_sets(shape: RingShape, rows: np.ndarray):
-    """Yield information sets (gamma_i, r_i) of the row space of rows, one
-    at a time as they are found.  Set i takes r_i new columns that no
-    earlier set took, so the new columns of different sets are disjoint.
-
-    The first set is the reduced echelon form gamma_1 with its pivots I
-    sought in column order, r_1 = k.  An echelon set is the echelon form
-    with the unused columns sought first.  If the rows are closed under
-    the shifts x^a y^b, as every code of the ring is, each shift image
-    sigma(I) is an information set too, whose words are the sigma-images
-    of gamma_1's; it is yielded as (None, r_i).  Each later set is the
-    image with the most new columns if it takes min(k, unused columns),
-    the most any set can take.  Otherwise the echelon set is computed,
-    and taken if it takes strictly more new columns than that image; the
-    image is taken if not.  Rows that are not closed get echelon sets
-    only.
-
-    No set is sought once no row is nonzero on an unused column, so no
-    elimination comes back without a new column.  Shift-closed rows have
-    no zero column, since the shifts move the columns transitively, so
-    for them that is when every column is used."""
-    fld = shape.field
-    k, n = rows.shape
-
-    def echelon(used):
-        gamma, pivots = _rref(rows, fld, np.argsort(used, kind="stable"))  # unused first
-        return gamma, [c for c in pivots if not used[c]]
-
-    used = np.zeros(n, dtype=bool)
-    gamma, pivots = echelon(used)
-    used[pivots] = True
-    yield gamma, len(pivots)
-    images = _shift_images(shape, gamma, pivots)
-    while rows[:, ~used].any():
-        taken, new = None, []
-        if images is not None:
-            fresh = ~used[images]
-            best = int(fresh.sum(axis=1).argmax())
-            new = images[best][fresh[best]]
-        if len(new) < min(k, np.count_nonzero(~used)):
-            echelon_gamma, echelon_new = echelon(used)
-            if len(echelon_new) > len(new):
-                taken, new = echelon_gamma, echelon_new
-        used[new] = True
-        yield taken, len(new)
+            return False
+    return True
 
 
 def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
@@ -236,80 +177,50 @@ def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
 
 def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     """Minimum Hamming weight of a nonzero codeword, by the
-    Brouwer-Zimmermann information-set search.
+    Brouwer-Zimmermann search on one information set.
 
-    The row space, of dimension k (the rank of the rows), is put in
-    systematic form on a sequence of information sets, each taking new
-    columns first (r_i new columns for gamma_i); see _information_sets.
-    For w = 1, 2, ... every message of weight w, up to a scalar, is
-    encoded by gamma_i, and the least weight seen is an upper bound on d.
-    Once set i has encoded every level up to w, a codeword not yet seen
-    has weight above w on it, so at least w + 1 - (k - r_i) on its new
-    columns; the sum of these terms over the sets is a lower bound,
-    worked out afresh from each set's levels done.  The search stops when
-    it reaches the upper bound, or at w = k, when the first set (r_1 = k)
-    has encoded every message.  It does only the work its bounds use:
+    The rows are put in systematic form gamma on their pivots I, k of
+    them for rank k, so a message's weight is its codeword's weight on I.
+    Level w encodes every message of weight w, up to a scalar, and the
+    least weight seen, best, bounds d from above.  After level w every
+    codeword not yet seen has weight at least w + 1, and at least
+    ceil(n (w + 1) / k) if the rows are closed under the n shifts x^a y^b:
+    a codeword of weight t has a shift of weight t with at most k t / n
+    cells on I, by averaging over the shifts.  The search returns best
+    once best reaches the bound, in the middle of a level too, or after
+    level k.
 
-    - The later sets are taken in one pull, if d is not settled once the
-      first set has done level w = max(1, k - min(k, n - k)): there a set
-      with min(k, n - k) new columns, the most a later set can take,
-      first has a positive term, and below it every later term is 0.  A
-      shift image of the first set carries no gamma and is never
-      enumerated: its words are shifted copies of the first set's, of
-      the same weights, so its term follows the first set's levels done.
-    - A set whose term max(0, w + 1 - (k - r_i)) is still 0 is not
-      enumerated.  When w reaches k - r_i it catches up its lower levels
-      first, and only then is its term counted.
-    - Each set grows level w from its level w - 1, kept when _level gave
-      it in one chunk of at most the set's budget; any other level is
-      rebuilt by _level from weight 1.  A set's budget is _GATHER_ELEMS
-      less the words the other sets keep, so the kept words never add up
-      to more than _GATHER_ELEMS, a kept level fits the step of the level
-      grown from it, and the working set stays a few arrays of
-      _GATHER_ELEMS elements."""
+    The closure test runs only the first time a level ends with best above
+    w + 1, so a code that w + 1 settles pays for none.  Rows that are not
+    closed come only from a hand-built GeneratorMatrix; they keep w + 1.
+    Each level is grown by _level from the one below, kept when it came in
+    one chunk of at most _GATHER_ELEMS elements and rebuilt from weight 1
+    otherwise, so the working set stays a few arrays of _GATHER_ELEMS
+    elements."""
     fld = gm.shape.field
     n = gm.n
     total = fld.q**gm.k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    source = _information_sets(gm.shape, gm.rows)
-    gamma, k = next(source)
+    gamma, pivots = _rref(gm.rows, fld, range(n))
+    k = len(pivots)
     if k == 0:
         raise ValueError("minimum distance is undefined for a dimension-0 code")
-    sets = [[gamma, k, 0, None]]  # enumerated: [gamma, r, levels done, kept level]
-    images = []  # r of each shift image
-
-    def lower():
-        first = sets[0][2]
-        return (sum(max(0, done + 1 - (k - r)) for _, r, done, _ in sets)
-                + sum(max(0, first + 1 - (k - r)) for r in images))
-
-    best = n + 1
+    best, bound, closed, kept = n + 1, 1, None, None
     for w in range(1, k + 1):
-        for entry in sets:  # sets pulled in this round are taken in it too
-            gamma, r, done, kept = entry
-            if w < k - r:  # deferred while its term is 0
-                continue
-            while done < w:  # catch up to level w
-                bound = lower()
-                if best <= bound:
-                    return best
-                done += 1
-                budget = _GATHER_ELEMS - sum(other[3][0].size for other in sets
-                                             if other is not entry and other[3] is not None)
-                level = _level(fld, gamma, done, budget, None if kept is None else [kept])
-                for chunks, (words, last) in enumerate(level, 1):
-                    best = min(best, int(np.count_nonzero(words, axis=1).min()))
-                    if best <= bound:
-                        return best
-                kept = (words, last) if chunks == 1 and words.size <= budget else None
-                entry[2:] = done, kept
-            if entry is sets[0] and w == max(1, k - min(k, n - k)) and best > lower():
-                for later, r_later in source:
-                    if later is None:
-                        images.append(r_later)
-                    else:
-                        sets.append([later, r_later, 0, None])
+        level = _level(fld, gamma, w, _GATHER_ELEMS, None if kept is None else [kept])
+        for chunks, (words, last) in enumerate(level, 1):
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
+            if best <= bound:
+                return best
+        kept = (words, last) if chunks == 1 and words.size <= _GATHER_ELEMS else None
+        bound = w + 1
+        if closed is None and best > bound:
+            closed = _shift_closed(gm.shape, gamma, pivots)
+        if closed:
+            bound = -(-n * bound // k)
+        if best <= bound:
+            return best
     return best
 
 

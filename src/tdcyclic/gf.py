@@ -201,8 +201,26 @@ class Field:
     # -- scalar operations --------------------------------------------------
 
     def make(self, n: int) -> int:
-        """Canonical element whose base-p digits are the coordinates of n mod p^m."""
+        """Canonical element whose base-p digits are the coordinates of n mod p^m.
+
+        n must be an integer, Python's or numpy's, and a bool is the integer
+        it is in Python (True is 1); anything else, a float with or without
+        a fraction or a string, raises ValueError rather than being read as
+        another element."""
+        if not isinstance(n, (int, np.integer, np.bool_)):
+            raise ValueError(f"{n!r} is not an integer element encoding")
         return int(n) % self.q
+
+    def make_array(self, values) -> np.ndarray:
+        """make on every entry: a new int64 array of canonical elements.
+        The entries must be integers or bools, as for make; an array of any
+        other dtype (float, string, object) raises ValueError."""
+        a = np.asarray(values)
+        if a.size and a.dtype.kind not in "biu":
+            raise ValueError(f"entries of dtype {a.dtype} are not integer element encodings")
+        if a.dtype == np.uint64:  # the one integer dtype whose values int64 cannot hold
+            a = a % np.uint64(self.q)
+        return a.astype(np.int64) % self.q
 
     def add(self, a: int, b: int) -> int:
         p = self.p

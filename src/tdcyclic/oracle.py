@@ -18,10 +18,10 @@ previous round added, both ways at once by an index gather, and adds
 that batch to the span; it stops at the first round that adds nothing.
 Every element and raw vector reaches the elimination through one gate,
 ``_raw_vectors``: an element (``BiPoly``) must have the ring's shape and
-is read in codeword order, and a raw vector must have s*ell entries,
-taken mod q as ``BiPoly`` takes them.  A closure given in place of
-generators must have the ring's shape too.  Anything else raises
-``ValueError``.
+is read in codeword order, and a raw vector must have s*ell integer
+entries, taken mod q by ``Field.make_array`` as ``BiPoly`` takes them.
+A closure given in place of generators must have the ring's shape too.
+Anything else raises ``ValueError``.
 
 A rank certificate shortcuts a passing check.  The leading cell of a
 nonzero vector is its first nonzero cell, y ascending, then x
@@ -146,25 +146,27 @@ def _distinct_leads(shape: RingShape, vecs: np.ndarray, shifts: int) -> int:
 def _raw_vectors(fld, n: int, vectors, shape: RingShape | None = None) -> np.ndarray:
     """Stack elements and raw vectors as canonical length-n codeword rows:
     an element must have the ring shape ``shape`` (with no shape, none is
-    accepted), a raw vector n entries, and entries are reduced mod q."""
+    accepted), a raw vector n entries, and entries go through
+    fld.make_array, which refuses a non-integer and reduces mod q."""
     out = np.zeros((len(vectors), n), dtype=np.int64)
     for t, v in enumerate(vectors):
         if isinstance(v, BiPoly):
             if v.shape != shape:
                 raise ValueError("generator does not match the ring shape")
             v = v.arr
-        a = np.asarray(v, dtype=np.int64).reshape(-1)
+        a = fld.make_array(v).reshape(-1)
         if a.size != n:
             raise ValueError(f"vector length {a.size} != n = {n}")
         out[t] = a
-    return out % fld.q
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class ClosureBasis:
     """Echelonized basis (codeword order) of a shift-closed span.  ``contains``
     and ``contains_elem`` are one check of an element of the ring's shape or a
-    raw vector of s*ell entries, taken mod q; anything else raises ValueError."""
+    raw vector of s*ell integer entries, taken mod q; anything else raises
+    ValueError."""
 
     shape: RingShape
     vectors: np.ndarray

@@ -85,16 +85,17 @@ class RingShape:
 
 
 class BiPoly:
-    """Element of the bivariate cyclic ring / s x ell codeword array."""
+    """Element of the bivariate cyclic ring / s x ell codeword array.  The
+    array's entries go through Field.make_array: integers are taken mod q,
+    and anything else raises ValueError."""
 
     __slots__ = ("shape", "arr")
 
     def __init__(self, shape: RingShape, array):
-        a = np.asarray(array, dtype=np.int64)
+        a = shape.field.make_array(array)
         if a.shape != (shape.s, shape.ell):
             raise ValueError(
                 f"array shape {a.shape} does not match (s, ell) = ({shape.s}, {shape.ell})")
-        a = a % shape.field.q
         a.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "arr", a)
@@ -136,7 +137,7 @@ class BiPoly:
 
     @classmethod
     def from_vector(cls, shape: RingShape, vec, order: str) -> "BiPoly":
-        v = np.asarray(vec, dtype=np.int64)
+        v = np.asarray(vec)
         if v.shape != (shape.n,):
             raise ValueError(f"vector length {v.size} != n = {shape.n}")
         if order == CODEWORD:

@@ -278,7 +278,7 @@ def test_distance_at_the_default_cap(tmp_path, capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("the distance search ran past the cap")
 
-    monkeypatch.setattr("tdcyclic.codegen._information_sets", no_search)
+    monkeypatch.setattr("tdcyclic.codegen._rref", no_search)
     unit = [[1] + [0] * 6] + [[0] * 7 for _ in range(2)]
     doc = {"field": {"p": 2}, "s": 3, "ell": 7, "generators": [unit]}
     start = time.perf_counter()

@@ -233,7 +233,8 @@ def test_min_distance_matches_oracle_span():
 def _full_rank_matrices(draw):
     """A full-rank k x n matrix over GF(2), GF(3), GF(4) or GF(5), k <= 6,
     n <= 14, whose columns are random, zero or scaled copies of earlier
-    columns; the last two make later information sets rank-deficient."""
+    columns; the last two keep most of the rows from being shift-closed,
+    as the rows of a code of the ring are."""
     fld = draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5)]))
     k = draw(st.integers(1, 6))
     n = draw(st.integers(k, 14))
@@ -262,8 +263,8 @@ def _least_weight_of_all_messages(fld, rows):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_full_rank_matrices(), st.sampled_from([1, 20, 300, _GATHER_ELEMS]))
-# two codes (d=2) that stop one level too early when the lower bound
-# counts w + 1 on a rank-deficient information set instead of w + 1 - (k - r_i)
+# two codes (d=2) whose rows are not shift-closed: the averaging bound
+# ceil(n (w + 1) / k), taken without the closure test, stops too early on them
 @example((GF(2, 2), np.array([[2, 2, 0, 2, 3, 1, 1, 0], [0, 1, 2, 0, 1, 2, 2, 0],
                               [0, 0, 1, 0, 2, 3, 2, 0], [2, 1, 1, 0, 1, 2, 0, 0]])),
          _GATHER_ELEMS)
@@ -390,6 +391,8 @@ GOLAY23 = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]  # [23, 12, 7]
     (15, 7, BCH15_7, HAMMING7, 28, 15),
     (23, 3, GOLAY23, [1, 1], 24, 14),  # Golay23 x [3, 2]
     (15, 9, BCH15_7, [1, 1], 56, 10),  # BCH[15,7] x [9, 8]
+    (23, 4, GOLAY23, [1, 1], 36, 14),  # Golay23 x [4, 3]
+    (6, 6, [1, 1], [1], 30, 2),        # [6, 5, 2] x [6, 6, 1]
 ])
 def test_product_code_distances(s, ell, gx, gy, k, d):
     """<gx(x) gy(y)> over GF(2) is the product of two cyclic codes, whose
@@ -400,96 +403,64 @@ def test_product_code_distances(s, ell, gx, gy, k, d):
     assert min_distance(gm, cap=1 << k) == d
 
 
-@pytest.mark.parametrize("s,ell,gx,gy,ranks,d,enumerated", [
-    (7, 7, HAMMING7, HAMMING7, [16, 15, 14, 4], 9, {0, 2}),
+@pytest.mark.parametrize("s,ell,gx,gy,top", [
+    (7, 7, HAMMING7, HAMMING7, 2),
+    (15, 7, BCH15_7, HAMMING7, 3),
+    (23, 3, GOLAY23, [1, 1], 4),
+    (15, 9, BCH15_7, [1, 1], 3),
+    (23, 4, GOLAY23, [1, 1], 5),
+    (6, 6, [1, 1], [1], 1),
 ])
-def test_min_distance_defers_sets_whose_term_is_zero(monkeypatch, s, ell, gx, gy,
-                                                     ranks, d, enumerated):
-    """A set is enumerated only once the search reaches the level
-    w = k - r_i at which its lower-bound term turns positive; it then
-    catches up its lower levels.  On Hamming7 x Hamming7 (k=16) the set
-    with r = 14 waits for level 2, and shift images (r = 15, 4) are never
-    enumerated."""
+def test_min_distance_stops_at_the_first_level_whose_bound_reaches_d(monkeypatch, s, ell,
+                                                                      gx, gy, top):
+    """The highest level the search builds.  After level w the bound on a
+    shift-closed code is ceil(n (w + 1) / k): Golay23 x [4, 3] (n=92, k=36,
+    d=14) has 13 after level 4 and 16 after level 5, so it must build
+    level 5.  A search that stops one level early still finds d on every
+    code here, so d alone cannot tell it apart."""
     sh, gens = _product_code(F2, s, ell, gx, gy)
     gm = generator_matrix(extract_generators(sh, gens))
-    sets = list(codegen._information_sets(sh, gm.rows))
-    assert [r for _, r in sets] == ranks
-    built = []  # (set, level) in the order the levels are built
+    built = []
     level = codegen._level
 
     def recording_level(fld, rows, w, *args):
-        built.append((next(i for i, (gamma, _) in enumerate(sets)
-                           if np.array_equal(gamma, rows)), w))
+        built.append(w)
         return level(fld, rows, w, *args)
 
     monkeypatch.setattr(codegen, "_level", recording_level)
-    assert min_distance(gm, cap=1 << gm.k) == d
-    for at, (i, _) in enumerate(built):
-        search_level = max(w for j, w in built[:at + 1] if j == 0)
-        assert search_level >= gm.k - ranks[i], (i, built[:at + 1])
-    assert {i for i, _ in built} == enumerated
+    min_distance(gm, cap=1 << gm.k)
+    assert max(built) == top
 
 
-def test_min_distance_asks_for_a_set_only_when_it_could_raise_the_bound(monkeypatch):
-    """GF(2) 7x3 <1 + x + x^3>, Hamming7 x [3, 3]: k=12, n=21, d=3.  A
-    second set takes at most 9 new columns, so its term is 0 below level
-    3, while the first set settles d at level 2: only the first set is
-    asked for."""
-    sh, gens = _product_code(F2, 7, 3, HAMMING7, [1])
-    gm = generator_matrix(extract_generators(sh, gens))
-    assert [r for _, r in codegen._information_sets(sh, gm.rows)] == [12, 9]
-    asked = []
-    information_sets = codegen._information_sets
-
-    def recording_information_sets(*args):
-        for gamma, r in information_sets(*args):
-            asked.append(r)
-            yield gamma, r
-
-    monkeypatch.setattr(codegen, "_information_sets", recording_information_sets)
-    assert min_distance(gm) == 3
-    assert asked == [12]
-
-
-@pytest.mark.parametrize("s,ell,gx,gy,want", [
-    (7, 7, HAMMING7, HAMMING7, [(16, False), (15, True), (14, False), (4, True)]),
-    (23, 4, GOLAY23, [1, 1], [(36, False), (34, True), (22, False)]),  # Golay23 x [4, 3]
+@pytest.mark.parametrize("s,ell,gx,gy,d,tests", [
+    (6, 6, [1, 1], [1], 2, 0),       # settled by w + 1 = 2 at level 1
+    (23, 3, GOLAY23, [1, 1], 14, 1),  # Golay23 x [3, 2] needs the averaging bound
 ])
-def test_information_sets_mix_images_and_echelon_sets(s, ell, gx, gy, want):
-    """(r_i, shift image?) of each set.  On these codes some shift image
-    takes fewer new columns than a set could, so the echelon set on the
-    unused columns is computed too; it is taken only when it takes more
-    new columns than the best image, and the image otherwise."""
+def test_min_distance_tests_shift_closure_only_when_w_plus_one_falls_short(
+        monkeypatch, s, ell, gx, gy, d, tests):
+    """The closure test runs once, the first time a level ends with the
+    least weight seen above w + 1, and never on a code that w + 1 settles."""
     sh, gens = _product_code(F2, s, ell, gx, gy)
     gm = generator_matrix(extract_generators(sh, gens))
-    assert [(r, gamma is None) for gamma, r in codegen._information_sets(sh, gm.rows)] == want
-
-
-def test_information_sets_eliminate_at_most_once_per_set(monkeypatch):
-    """BCH[15,7] x Hamming7 (k=28, n=105): each later set is the best shift
-    image or one echelon form on the unused columns, so the sets cost no
-    more _rref calls than there are of them."""
-    sh, gens = _product_code(F2, 15, 7, BCH15_7, HAMMING7)
-    gm = generator_matrix(extract_generators(sh, gens))
     calls = []
-    rref = codegen._rref
+    shift_closed = codegen._shift_closed
 
-    def counting_rref(*args):
+    def counting_shift_closed(*args):
         calls.append(args)
-        return rref(*args)
+        return shift_closed(*args)
 
-    monkeypatch.setattr(codegen, "_rref", counting_rref)
-    sets = [(r, gamma is None) for gamma, r in codegen._information_sets(sh, gm.rows)]
-    assert sets == [(28, False), (28, True), (22, True), (22, False), (5, False)]
-    assert len(calls) <= len(sets)
+    monkeypatch.setattr(codegen, "_shift_closed", counting_shift_closed)
+    assert min_distance(gm, cap=1 << gm.k) == d
+    assert len(calls) == tests
 
 
 def test_min_distance_counts_a_shift_image_from_the_first_sets_levels():
     """GF(2) 3x6, one generator: k=6, n=18, d=6 by the oracle's own
-    enumeration.  Its sets are one echelon set and two shift images, each
-    with r = 6.  An image's term is max(0, w + 1 - (k - r)) once the first
-    set has done level w; counted one level early, the lower bound reaches
-    8 before any word of weight 6 is seen, and the search returns 8."""
+    enumeration.  Level 1 of its one set has least weight 8, and the
+    weight-6 words appear at level 2.  The averaging bound counts the
+    shifts of the words seen from the levels done: ceil(18 * 2 / 6) = 6
+    after level 1.  Counted one level early, ceil(18 * 3 / 6) = 9, it
+    stops at level 1 and returns 8."""
     sh = RingShape(F2, 3, 6)
     gens = [BiPoly(sh, [[0, 1, 1, 1, 1, 0], [0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 0]])]
     gm = generator_matrix(extract_generators(sh, gens))
@@ -497,17 +468,13 @@ def test_min_distance_counts_a_shift_image_from_the_first_sets_levels():
     span = enumerate_span(bruteforce_ideal(sh, gens))
     weights = np.count_nonzero(span, axis=1)
     assert int(weights[weights > 0].min()) == 6
-    sets = codegen._information_sets(sh, gm.rows)
-    assert [(r, gamma is None) for gamma, r in sets] == [(6, False), (6, True), (6, True)]
     assert min_distance(gm) == 6
 
 
 def test_min_distance_eliminates_once_when_the_first_set_settles_d(monkeypatch):
-    """GF(2) 5x5 <x+1>: k=20, d=2.  The first information set's weight-1
-    words reach d and its w=0 and w=1 terms the lower bound, so no later
-    set is computed."""
-    sh, gens = _product_code(F2, 5, 5, [1, 1], [1])
-    gm = generator_matrix(extract_generators(sh, gens))
+    """The search eliminates once, for its one information set, whether
+    w + 1 settles d (GF(2) 5x5 <x+1>: k=20, d=2) or the averaging bound
+    does after the closure test (Golay23 x [3, 2]: k=24, d=14)."""
     calls = []
     rref = codegen._rref
 
@@ -516,38 +483,19 @@ def test_min_distance_eliminates_once_when_the_first_set_settles_d(monkeypatch):
         return rref(*args)
 
     monkeypatch.setattr(codegen, "_rref", counting_rref)
-    assert min_distance(gm) == 2
-    assert len(calls) == 1
+    for s, ell, gx, gy, d in ((5, 5, [1, 1], [1], 2), (23, 3, GOLAY23, [1, 1], 14)):
+        sh, gens = _product_code(F2, s, ell, gx, gy)
+        gm = generator_matrix(extract_generators(sh, gens))
+        calls.clear()
+        assert min_distance(gm, cap=1 << gm.k) == d
+        assert len(calls) == 1
 
 
-def test_shift_images_are_information_sets():
-    """For a code of the ring, every shift image of the first set's pivot
-    columns is an information set: the rows have rank k on it.  The sets
-    the search uses take every column as a new column exactly once."""
-    rng = random.Random(113)
-    checked = 0
-    while checked < 12:
-        F = rng.choice([F2, GF(3), GF(2, 2)])
-        sh = RingShape(F, rng.randint(2, 5), rng.randint(2, 5))
-        gm = generator_matrix(extract_generators(sh, random_generators(rng, sh)))
-        if not 0 < gm.k < gm.n:
-            continue
-        gamma, pivots = codegen._rref(gm.rows, F, range(gm.n))
-        images = codegen._shift_images(sh, gamma, pivots)
-        assert images.shape == (sh.n, gm.k)
-        assert sorted(images[:, 0].tolist()) == list(range(sh.n))  # transitive
-        for cols in images:
-            assert reduced_span(F, gm.k, gm.rows[:, cols]).shape[0] == gm.k
-        assert sum(r for _, r in codegen._information_sets(sh, gm.rows)) == gm.n
-        checked += 1
-
-
-def test_rows_not_closed_under_shifts_get_echelon_sets_only():
+def test_rows_not_closed_under_shifts_keep_the_one_set_bound():
     """A cyclic code's generator matrix with its last row replaced by a
-    vector outside the code spans no code of the ring: the search must
-    not use shift images on it, and d is still exact."""
+    vector outside the code spans no code of the ring: the closure test
+    says so, the search keeps the bound w + 1, and d is still exact."""
     rng = random.Random(127)
-    multi = 0
     for _ in range(20):
         F = rng.choice([F2, GF(3)])
         while True:
@@ -555,18 +503,16 @@ def test_rows_not_closed_under_shifts_get_echelon_sets_only():
             gm = generator_matrix(extract_generators(sh, random_generators(rng, sh)))
             if 2 <= gm.k < gm.n and F.q**gm.k <= 1 << 12:
                 break
+        assert codegen._shift_closed(sh, *codegen._rref(gm.rows, F, range(gm.n)))
         rows = gm.rows.copy()
         while True:
             rows[-1] = [rng.randrange(F.q) for _ in range(gm.n)]
             if reduced_span(F, gm.n, np.vstack([gm.rows, rows[-1:]])).shape[0] > gm.k:
                 break
         assert not check_shift_closure(sh, rows)
-        sets = list(codegen._information_sets(sh, rows))
-        assert all(gamma is not None for gamma, _ in sets)
-        multi += len(sets) > 1
+        assert not codegen._shift_closed(sh, *codegen._rref(rows, F, range(gm.n)))
         assert min_distance(GeneratorMatrix(sh, rows, gm.labels)) == \
             _least_weight_of_all_messages(F, rows)
-    assert multi >= 10
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -575,7 +521,7 @@ def test_min_distance_matches_oracle_on_random_ideals(data, budget):
     """d of random ideals, against the least nonzero weight of the
     oracle's enumeration of the ideal.  Multiplying the generators by
     (x - 1)^a (y - 1)^b keeps many ideals away from the whole ring, so
-    later information sets, shift images among them, are needed."""
+    the search often needs the averaging bound to stop."""
     F = data.draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2)]))
     sh = RingShape(F, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
     gens = random_generators(random.Random(data.draw(st.integers(0, 2**32))), sh)

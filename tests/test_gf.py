@@ -3,7 +3,9 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_mul, gf_rem
 
-from tdcyclic import GF, BoundsError, Field, default_modulus, field_descriptor, field_from_descriptor
+from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, Field, GeneratorMatrix, RingShape,
+                      default_modulus, encode, field_descriptor, field_from_descriptor,
+                      reduced_span)
 from tdcyclic.gf import _is_prime
 
 
@@ -68,6 +70,52 @@ def test_make_examples():
     assert GF(3).make(5) == 2
     F4 = GF(2, 2)  # modulus x^2 + x + 1
     assert F4.coords(F4.make(2)) == (0, 1)
+
+
+# the entry points that read library values, each returning the value it
+# read for v as the element in position 0
+_VALUE_GATES = {
+    "make": lambda F, v: F.make(v),
+    "make_array": lambda F, v: F.make_array([v, 1])[0],
+    "BiPoly": lambda F, v: BiPoly(RingShape(F, 1, 2), [[v, 1]]).arr[0, 0],
+    "BiPoly.from_vector": lambda F, v: BiPoly.from_vector(RingShape(F, 1, 2), [v, 1],
+                                                          CODEWORD).arr[0, 0],
+    "GeneratorMatrix": lambda F, v: GeneratorMatrix(RingShape(F, 2, 1), [[v, 1]],
+                                                    ((0, 0),)).rows[0, 0],
+    "encode": lambda F, v: encode(GeneratorMatrix(RingShape(F, 2, 1), [[1, 1]], ((0, 0),)),
+                                  [v])[0],
+    "oracle._raw_vectors": lambda F, v: reduced_span(F, 2, [[1, v]])[0, 1],
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_VALUE_GATES))
+@pytest.mark.parametrize("value,read", [
+    (5, 5), (np.int64(5), 5), (np.uint8(5), 5), (-1, -1),
+    (True, 1), (np.bool_(True), 1),  # a bool is the integer it is in Python
+    (2.0, None), (2.5, None), (np.float64(1.0), None), ("2", None), (None, None),
+])
+def test_library_values_must_be_integers(gate, value, read):
+    """Every entry point takes an integer mod q and refuses any other value
+    with ValueError, a float without a fraction and a numeral string too,
+    instead of reading it as another element."""
+    for F in (GF(3), GF(2, 2)):
+        if read is None:
+            with pytest.raises(ValueError):
+                _VALUE_GATES[gate](F, value)
+        else:
+            assert _VALUE_GATES[gate](F, value) == read % F.q
+
+
+def test_make_array_takes_integer_and_bool_arrays():
+    F = GF(3)
+    assert F.make_array(np.array([True, False])).tolist() == [1, 0]
+    assert F.make_array(np.array([[7, -2]], dtype=np.int8)).tolist() == [[1, 1]]
+    assert F.make_array([]).shape == (0,)
+    assert F.make_array(np.array([2**63 + 1], dtype=np.uint64)).tolist() == [(2**63 + 1) % 3]
+    out = F.make_array(np.array([4, 5]))
+    assert out.dtype == np.int64 and out.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        F.make_array(np.array([1.0, 2.0]))
 
 
 def test_add_examples():
