@@ -20,12 +20,12 @@ not w + 1 (the automorphism refinement of Grassl 2006, by averaging).
 Shift closure is tested on the rows, not assumed, and only once the
 bound w + 1 falls short: rows that are not closed keep w + 1.
 
-Each weight level is grown from the one below by adding one scaled row,
-in chunks of at most ``_GATHER_ELEMS`` entries, the chunk budget the
-ring's products use too.  The search keeps its last level when that
-level came in one chunk, and rebuilds it from weight 1 otherwise, so the
-working set stays a few chunk-sized arrays over every field, however
-long the code is.
+Each weight level is grown from the one below, rebuilt from weight 1 at
+half the budget, by adding one scaled row, in chunks of at most
+``_GATHER_ELEMS`` entries, the chunk budget the ring's products use too.
+The levels in flight share under two budgets and one addition's
+temporaries take at most one more, so the working set stays three
+chunk-sized arrays over every field, however long the code is.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _shift_closed(shape: RingShape, gamma: np.ndarray, pivots) -> bool:
     return True
 
 
-def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
+def _level(fld, rows: np.ndarray, w: int, budget: int):
     """Yield chunks (words, last) covering the codewords of every message
     of Hamming weight w whose first nonzero coefficient is 1; last[i] is
     the index of the last nonzero coefficient of the message of words[i],
@@ -141,26 +141,21 @@ def _level(fld, rows: np.ndarray, w: int, budget: int, below=None):
 
     A weight-w message with last index t is a weight-(w-1) message with
     last index below t plus c * rows[t], c != 0, so one loop grows level w
-    from the chunks of level w - 1: `below`, each of at most budget
-    elements (min_distance passes a level that came in one such chunk),
-    or else _level(w - 1) rebuilt with half the budget, so all levels in
-    flight together stay within twice the budget.  A chunk holds at most
-    max(budget, n) elements.  A chunk of level w >= 2 is a view of one
-    buffer, no larger than the level, which is reused until the level
-    ends: a chunk is valid until the next one is requested, and the last
-    one stays valid."""
+    from the chunks of _level(w - 1), rebuilt with half the budget, so all
+    levels in flight together stay within twice the budget.  A chunk holds
+    at most max(budget, n) elements.  A chunk of level w >= 2 is a view of
+    one buffer, no larger than the level, which is reused until the level
+    ends: a chunk is valid until the next one is requested."""
     k, n = rows.shape
     step = max(1, budget // n)
     if w == 1:
         for a in range(0, k, step):
             yield rows[a:a + step], np.arange(a, min(a + step, k))
         return
-    if below is None:
-        below = _level(fld, rows, w - 1, budget // 2)
     step = min(step, comb(k, w) * (fld.q - 1) ** (w - 1))
     out = np.empty((step, n), dtype=np.int64)
     out_last = np.empty(step, dtype=np.int64)
-    for words, last in below:
+    for words, last in _level(fld, rows, w - 1, budget // 2):
         size = 0
         for t in range(int(last[0]) + 1, k):
             base = words[:np.searchsorted(last, t)]
@@ -193,10 +188,9 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     The closure test runs only the first time a level ends with best above
     w + 1, so a code that w + 1 settles pays for none.  Rows that are not
     closed come only from a hand-built GeneratorMatrix; they keep w + 1.
-    Each level is grown by _level from the one below, kept when it came in
-    one chunk of at most _GATHER_ELEMS elements and rebuilt from weight 1
-    otherwise, so the working set stays a few arrays of _GATHER_ELEMS
-    elements."""
+    Each level comes from _level in chunks of at most _GATHER_ELEMS
+    elements, grown from the levels below it at half the budget each, so
+    the working set stays three arrays of _GATHER_ELEMS elements."""
     fld = gm.shape.field
     n = gm.n
     total = fld.q**gm.k
@@ -206,14 +200,14 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     k = len(pivots)
     if k == 0:
         raise ValueError("minimum distance is undefined for a dimension-0 code")
-    best, bound, closed, kept = n + 1, 1, None, None
+    best, bound, closed = n + 1, 1, None
     for w in range(1, k + 1):
-        level = _level(fld, gamma, w, _GATHER_ELEMS, None if kept is None else [kept])
-        for chunks, (words, last) in enumerate(level, 1):
+        for words, last in _level(fld, gamma, w, _GATHER_ELEMS):
             best = min(best, int(np.count_nonzero(words, axis=1).min()))
             if best <= bound:
                 return best
-        kept = (words, last) if chunks == 1 and words.size <= _GATHER_ELEMS else None
+        # the last chunk views its level's buffer: let it go before the next level allocates
+        del words, last
         bound = w + 1
         if closed is None and best > bound:
             closed = _shift_closed(gm.shape, gamma, pivots)

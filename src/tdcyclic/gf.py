@@ -89,6 +89,16 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
                for d in range(1, (len(mod) - 1) // 2 + 1) for n in range(p**d))
 
 
+def _integer(v, what: str) -> int:
+    """v as a Python int.  v must be an integer, Python's or numpy's, and a
+    bool is the integer it is in Python (True is 1); anything else, a float
+    with or without a fraction or a string, raises ValueError rather than
+    being read as another number."""
+    if not isinstance(v, (int, np.integer, np.bool_)):
+        raise ValueError(f"{v!r} is not an integer {what}")
+    return int(v)
+
+
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over GF(p) with the smallest base-p
     integer encoding of its non-leading coefficients.
@@ -111,13 +121,16 @@ class Field:
     p : prime characteristic.
     m : extension degree (1 for prime fields).
     modulus : optional iterable of m+1 ints over GF(p), ascending degree,
-        leading coefficient 1.  Ignored (must be None) for m == 1; defaults
-        to ``default_modulus(p, m)`` for extensions.
+        leading coefficient 1, each taken mod p.  Ignored (must be None) for
+        m == 1; defaults to ``default_modulus(p, m)`` for extensions.
+
+    p, m and the modulus entries must be integers, as for ``make``.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_exp_np", "_log_np")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
+        p, m = _integer(p, "characteristic"), _integer(m, "extension degree")
         if p < 2:
             raise ValueError(f"characteristic must be prime, got {p}")
         if m < 1:
@@ -138,7 +151,7 @@ class Field:
         if modulus is None:
             mod = default_modulus(p, m)
         else:
-            mod = tuple(int(c) % p for c in modulus)
+            mod = tuple(_integer(c, "modulus entry") % p for c in modulus)
             if len(mod) != m + 1:
                 raise ValueError(f"modulus must have m+1 = {m + 1} coefficients, got {len(mod)}")
             if mod[-1] != 1:
@@ -207,9 +220,7 @@ class Field:
         it is in Python (True is 1); anything else, a float with or without
         a fraction or a string, raises ValueError rather than being read as
         another element."""
-        if not isinstance(n, (int, np.integer, np.bool_)):
-            raise ValueError(f"{n!r} is not an integer element encoding")
-        return int(n) % self.q
+        return _integer(n, "element encoding") % self.q
 
     def make_array(self, values) -> np.ndarray:
         """make on every entry: a new int64 array of canonical elements.
@@ -273,9 +284,11 @@ class Field:
         return tuple(_digits(a, self.p, self.m))
 
     def from_coords(self, vec) -> int:
+        """The element with coordinates vec (ascending degree), each an
+        integer taken mod p, as for ``make``."""
         out, w = 0, 1
         for c in vec:
-            out += (int(c) % self.p) * w
+            out += (_integer(c, "coordinate") % self.p) * w
             w *= self.p
         return out
 
@@ -373,17 +386,19 @@ def _cached_field(p: int, m: int, modulus) -> Field:
 
 
 def GF(p: int, m: int = 1, modulus=None) -> Field:
-    """Cached Field factory: GF(2), GF(3, 2), GF(2, 4, modulus=[1,1,0,0,1]), ..."""
-    key = tuple(int(c) for c in modulus) if modulus is not None else None
-    return _cached_field(p, m, key)
+    """Cached Field factory: GF(2), GF(3, 2), GF(2, 4, modulus=[1,1,0,0,1]), ...
+    The arguments are checked as Field checks them, before the cache, whose
+    keys would take 2.0 for 2."""
+    key = tuple(_integer(c, "modulus entry") for c in modulus) if modulus is not None else None
+    return _cached_field(_integer(p, "characteristic"), _integer(m, "extension degree"), key)
 
 
 def field_from_descriptor(d: dict) -> Field:
-    """Build a Field from the JSON descriptor {"p":..., "m":..., "modulus":[...]?}."""
-    p = int(d["p"])
-    m = int(d.get("m", 1))
-    modulus = d.get("modulus")
-    return GF(p, m, modulus)
+    """Build a Field from the JSON descriptor {"p":..., "m":..., "modulus":[...]?}.
+    Its values must be integers, as for GF; a missing "p" raises ValueError."""
+    if "p" not in d:
+        raise ValueError("field descriptor has no 'p'")
+    return GF(d["p"], d.get("m", 1), d.get("modulus"))
 
 
 def field_descriptor(field: Field) -> dict:

@@ -301,7 +301,8 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
     coeffs = []
     trace = []
     for k in range(ell):
-        q, r = divmod(h.coord(k).lift(), gs.layers[k].gen.lift() or xs_minus_one(fld, s))
+        q, r = divmod(Poly(fld, h.arr[:, k].tolist()),
+                      gs.layers[k].gen.lift() or xs_minus_one(fld, s))
         if r:
             raise NotMember(k)
         if q:

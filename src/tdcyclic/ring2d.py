@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError
-from .gf import Field
+from .gf import Field, _integer
 from .polyring import CyclicPoly
 
 INTERNAL = "internal"
@@ -65,13 +65,16 @@ def shift_sum(shape: RingShape, b: np.ndarray, coeffs, i, j=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RingShape:
-    """Parameters of the bivariate cyclic ring: field, s rows, ell columns."""
+    """Parameters of the bivariate cyclic ring: field, s rows, ell columns.
+    s and ell must be integers, as for Field.make; they are kept as Python ints."""
 
     field: Field
     s: int
     ell: int
 
     def __post_init__(self):
+        object.__setattr__(self, "s", _integer(self.s, "row count s"))
+        object.__setattr__(self, "ell", _integer(self.ell, "column count ell"))
         if self.s < 1 or self.ell < 1:
             raise ValueError(f"s and ell must be >= 1, got ({self.s}, {self.ell})")
         if self.s * self.ell > MAX_ARRAY_CELLS:

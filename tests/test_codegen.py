@@ -307,35 +307,6 @@ def test_levels_hold_each_message_once(budget):
             assert sorted(got) == sorted(want), (fld, w)
 
 
-@pytest.mark.parametrize("budget", [1, 9, 40, _GATHER_ELEMS])
-def test_levels_grown_from_the_kept_level_match_rebuilt_ones(budget):
-    """The search keeps level w when _level gave it in one chunk of at most
-    the budget, and grows level w + 1 from it: the same words and last
-    indices as _level(w + 1, budget) rebuilding every level from weight 1,
-    though the chunks may be cut elsewhere.  At budget 1 no level that is
-    grown from fits, so none is kept."""
-    rng = random.Random(budget)
-    grown = 0
-    for k, n in ((5, 4), (4, 1)):
-        for fld in (F2, GF(3), GF(2, 2)):
-            rows = np.array([[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)])
-            kept = None
-            for w in range(1, k + 1):
-                below = None if kept is None else [kept]
-                chunks = [(words.copy(), last.copy())
-                          for words, last in codegen._level(fld, rows, w, budget, below)]
-                got = sorted((tuple(word), int(t)) for words, last in chunks
-                             for word, t in zip(words.tolist(), last))
-                want = sorted((tuple(word), int(t))
-                              for words, last in codegen._level(fld, rows, w, budget)
-                              for word, t in zip(words.tolist(), last))
-                assert got == want, (fld, k, n, w)
-                grown += kept is not None
-                one_chunk = len(chunks) == 1 and chunks[0][0].size <= budget
-                kept = chunks[0] if one_chunk else None
-    assert grown > 0 or budget == 1
-
-
 def test_min_distance_stops_early(monkeypatch):
     """GF(2) 5x5 <x+1>: k=20, n=25, d=2, q^k at the 2^20 cap.  The
     information sets prove d=2 from a few hundred words at most, far
@@ -358,9 +329,12 @@ def test_min_distance_stops_early(monkeypatch):
 def test_min_distance_memory_bounded():
     """The peak stays within three arrays of the 2^19-element chunk
     budget, 12 MB, plus 1 MB for everything else; the bound is the same
-    over every field.  Codes: GF(2) 16x16 <(x+1)^15 (y+1)^2> (k=14,
-    n=256), and the 1x8 repetition codes over the two largest fields,
-    GF(2^16) and GF(3^10)."""
+    over every field.  Two codes reach the budget: Golay23 x [4, 3]
+    (k=36, n=92), whose top levels span many chunks, and a hand-built
+    GF(2) [400, 20] code whose level 3 fits one chunk and level 4 does
+    not.  The others stay far below it: GF(2) 16x16 <(x+1)^15 (y+1)^2>
+    (k=14, n=256), and the 1x8 repetition codes over the two largest
+    fields, GF(2^16) and GF(3^10)."""
     sh = RingShape(F2, 16, 16)
     arr = [[1 if j in (0, 2) else 0 for j in range(16)] for _ in range(16)]
     # d = 16 * 2: the code is a product of [16, 1, 16] and [16, 14, 2]
@@ -369,11 +343,19 @@ def test_min_distance_memory_bounded():
         sh = RingShape(fld, 1, 8)
         gm = generator_matrix(extract_generators(sh, [BiPoly(sh, [[1] * 8])]))
         codes.append((gm, 1, 8, 8))
+    sh, gens = _product_code(F2, 23, 4, GOLAY23, [1, 1])
+    codes.append((generator_matrix(extract_generators(sh, gens)), 36, 92, 14))
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 2, (20, 400))
+    rows[0] = 0
+    rows[0, rng.choice(400, 5, replace=False)] = 1  # d = 5, from row 0
+    codes.append((GeneratorMatrix(RingShape(F2, 400, 1), rows, tuple((0, a) for a in range(20))),
+                  20, 400, 5))
     for gm, k, n, d in codes:
         assert (gm.k, gm.n) == (k, n)
         tracemalloc.start()
         try:
-            got = min_distance(gm)
+            got = min_distance(gm, cap=gm.shape.field.q**k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -106,6 +106,54 @@ def test_library_values_must_be_integers(gate, value, read):
             assert _VALUE_GATES[gate](F, value) == read % F.q
 
 
+# the entry points that read field parameters, coordinates and ring sizes,
+# each returning the value it read for v, which stands for 2
+_PARAMETER_GATES = {
+    "GF p": lambda v: GF(v).p,
+    "GF m": lambda v: GF(2, v).m,
+    "GF modulus": lambda v: GF(3, 2, modulus=[v, v, 1]).modulus[0],  # x^2 + 2x + 2
+    "Field p": lambda v: Field(v).p,
+    "Field m": lambda v: Field(2, v).m,
+    "Field modulus": lambda v: Field(3, 2, modulus=[v, v, 1]).modulus[0],
+    "field_from_descriptor p": lambda v: field_from_descriptor({"p": v}).p,
+    "field_from_descriptor m": lambda v: field_from_descriptor({"p": 2, "m": v}).m,
+    "field_from_descriptor modulus":
+        lambda v: field_from_descriptor({"p": 3, "m": 2, "modulus": [v, v, 1]}).modulus[0],
+    "from_coords": lambda v: GF(3, 2).from_coords([v, 0]),
+    "RingShape s": lambda v: RingShape(GF(2), v, 1).s,
+    "RingShape ell": lambda v: RingShape(GF(2), 1, v).ell,
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_PARAMETER_GATES))
+@pytest.mark.parametrize("value,ok", [
+    (2, True), (np.int64(2), True), (np.uint8(2), True),
+    (2.0, False), (2.5, False), (np.float64(2.0), False), ("2", False), (None, False),
+])
+def test_library_parameters_must_be_integers(gate, value, ok):
+    """Field parameters, modulus entries, coordinates and the ring's s and
+    ell follow make's rule: an integer, kept as a Python int, or else
+    ValueError, instead of a float read as the integer it truncates to
+    (GF(5.0) had q == 5.0, and GF(2, 2, modulus=[1.7, 1, 1]) was GF(4))."""
+    if ok:
+        got = _PARAMETER_GATES[gate](value)
+        assert got == 2 and type(got) is int
+    else:
+        with pytest.raises(ValueError):
+            _PARAMETER_GATES[gate](value)
+
+
+def test_integer_modulus_entries_and_coordinates_reduce_mod_p():
+    assert GF(2, 2, modulus=[3, -1, 1]) == GF(2, 2, modulus=[1, 1, 1])
+    assert GF(2, 2).from_coords([3, True]) == 3
+    assert GF(3).from_coords([-1]) == 2
+
+
+def test_descriptor_without_p_is_refused():
+    with pytest.raises(ValueError, match="no 'p'"):
+        field_from_descriptor({})
+
+
 def test_make_array_takes_integer_and_bool_arrays():
     F = GF(3)
     assert F.make_array(np.array([True, False])).tolist() == [1, 0]
