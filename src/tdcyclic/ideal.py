@@ -38,12 +38,10 @@ import numpy as np
 from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
 from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
-from .ring2d import INTERNAL, BiPoly, RingShape, shift_source, shift_sum
+from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, shift_source, shift_sum
 
-# entries of the (nonzero generators * n) x n shift matrix span_basis
-# eliminates, and rows * columns * rank bounding the elimination's work;
-# both are exactly two generators at 32 x 32
-MAX_SHIFT_MATRIX_ELEMS = 1 << 21
+# rows * columns * rank bounding the work of span_basis's elimination of
+# (nonzero generators * n) shift rows by n columns: two generators at 32 x 32
 MAX_ELIMINATION_WORK = 1 << 31
 
 
@@ -77,33 +75,6 @@ def _rref(mat: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(int(c))
         r += 1
     return a[:r], tuple(pivots)
-
-
-def _monomial_shift_rows(shape: RingShape, generators) -> np.ndarray:
-    """INTERNAL vectorizations of x^a y^b g for all shifts and g, ordered
-    by g, then a, then b, in one gather.  Refuses a matrix over the
-    budget, or an elimination over the work budget, before allocating."""
-    arrs = []
-    for g in generators:
-        if g.shape != shape:
-            raise ValueError("generator does not match the ring shape")
-        if not g.is_zero:
-            arrs.append(g.arr)
-    n = shape.n
-    if len(arrs) * n * n > MAX_SHIFT_MATRIX_ELEMS:
-        raise BoundsError(
-            f"shift matrix of {len(arrs)} generator(s) * {n} rows by {n} "
-            f"columns exceeds the elimination budget of {MAX_SHIFT_MATRIX_ELEMS} entries")
-    if len(arrs) * n * n * n > MAX_ELIMINATION_WORK:
-        raise BoundsError(
-            f"elimination of {len(arrs)} generator(s) * {n} rows by {n} columns "
-            f"exceeds the elimination budget of {MAX_ELIMINATION_WORK} rows * columns * rank")
-    if not arrs:
-        return np.zeros((0, n), dtype=np.int64)
-    # index axes (a, b, j, i) put cell (i, j) of x^a y^b g in row a*ell + b at index j*s + i
-    src_i = shift_source(shape.s, np.arange(shape.s))[:, None, None, :]
-    src_j = shift_source(shape.ell, np.arange(shape.ell))[None, :, :, None]
-    return np.stack(arrs)[:, src_i, src_j].reshape(-1, n)
 
 
 # -- types -------------------------------------------------------------------
@@ -218,12 +189,34 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
     """Echelon F-basis of the ideal generated by the given elements.
 
     The F-span of all monomial shifts of the generators equals the ideal,
-    so one Gaussian elimination suffices, with pivots sought by y-block
+    so Gaussian elimination suffices, with pivots sought by y-block
     ascending and x-degree descending.  Zero generators are ignored; an
-    empty list gives the zero ideal.
+    empty list gives the zero ideal.  Work over MAX_ELIMINATION_WORK is
+    refused before anything is allocated.  The shifts are eliminated with
+    the basis so far in steps of at most four chunk budgets, 2^21 entries;
+    a span's reduced echelon form is unique, so the steps leave it as is.
     """
-    cols = np.arange(shape.n).reshape(shape.ell, shape.s)[:, ::-1].ravel()
-    mat, pivots = _rref(_monomial_shift_rows(shape, generators), shape.field, cols)
+    arrs = []
+    for g in generators:
+        if g.shape != shape:
+            raise ValueError("generator does not match the ring shape")
+        if not g.is_zero:
+            arrs.append(g.arr)
+    fld, n = shape.field, shape.n
+    if len(arrs) * n ** 3 > MAX_ELIMINATION_WORK:
+        raise BoundsError(
+            f"elimination of {len(arrs)} generator(s) * {n} rows by {n} columns "
+            f"exceeds the elimination budget of {MAX_ELIMINATION_WORK} rows * columns * rank")
+    cols = np.arange(n).reshape(shape.ell, shape.s)[:, ::-1].ravel()
+    # index axes (a, b, j, i) put cell (i, j) of x^a y^b g in row a*ell + b at index j*s + i
+    src_i = shift_source(shape.s, np.arange(shape.s))[:, None, None, :]
+    src_j = shift_source(shape.ell, np.arange(shape.ell))[None, :, :, None]
+    step = max(1, 4 * _GATHER_ELEMS // (n * n))
+    mat, pivots = np.zeros((0, n), dtype=np.int64), ()
+    for t in range(0, len(arrs), step):
+        # gathered inline, so the shifts are freed before _rref copies the step
+        mat, pivots = _rref(np.concatenate(
+            [mat, np.stack(arrs[t:t + step])[:, src_i, src_j].reshape(-1, n)]), fld, cols)
     mat.setflags(write=False)
     return EchelonBasis(shape, mat, pivots)
 

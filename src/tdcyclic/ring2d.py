@@ -16,6 +16,8 @@ coefficient it is.  The shifts of b are gathered through
 budget, so the working set is a few chunk-sized arrays whatever the
 ring's size: about 2 over a prime field, up to 4 over an extension of
 odd characteristic, whose ``dot`` works one base-p digit at a time.
+The same budget bounds ``codegen``'s distance-search levels and, four
+budgets to a step, the shifts ``ideal.span_basis`` eliminates at once.
 
 Two flattening orders exist and must never be conflated:
 

@@ -412,6 +412,22 @@ def test_elimination_over_work_budget_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "exceeds the elimination budget" in err
 
 
+def test_construct_of_576_shifts_matches_one_generator(tmp_path, capsys):
+    """The 576 shifts x^a y^b (1 + x)(1 + y), 0 <= a, b < 24, every shift
+    of the 8 x 8 ring nine times over, are more than the 512 generators of
+    one elimination step; construct prints what (1 + x)(1 + y) alone gives."""
+    def shift(a, b):
+        return [[int((i - a) % 8 < 2 and (j - b) % 8 < 2) for j in range(8)] for i in range(8)]
+
+    doc = {"field": {"p": 2}, "s": 8, "ell": 8, "generators": [shift(0, 0)]}
+    code, want, _ = run(capsys, ["construct", "--input", write_problem(tmp_path, doc)])
+    assert code == 0
+    doc["generators"] = [shift(a, b) for a in range(24) for b in range(24)]
+    code, out, err = run(capsys, ["construct", "--input",
+                                  write_problem(tmp_path, doc, "shifts.json")])
+    assert (code, out, err) == (0, want, "")
+
+
 def test_options_are_checked_before_engine_work(tmp_path, capsys, monkeypatch):
     """A bad option exits 2 before any engine work, even on a problem the
     engine would refuse (the 38 x 38 unit ideal is over the elimination

@@ -4,6 +4,7 @@ import json
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,14 +119,14 @@ def _vanishing_below(closure, j):
 
 
 @st.composite
-def _ideals(draw):
-    F = draw(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(2, 3), GF(3, 2)]))
-    s, ell = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def _ideals(draw, fields=(GF(2), GF(3), GF(2, 2), GF(2, 3), GF(3, 2)), smax=6, max_gens=3):
+    F = draw(st.sampled_from(fields))
+    s, ell = draw(st.integers(1, smax)), draw(st.integers(1, smax))
     cell = st.integers(0, F.q - 1)
     arr = st.lists(st.lists(cell, min_size=ell, max_size=ell), min_size=s, max_size=s)
     sh = RingShape(F, s, ell)
     # a product of two arrays often gives a proper ideal with several layers
-    pairs = draw(st.lists(st.tuples(arr, st.none() | arr), max_size=3))
+    pairs = draw(st.lists(st.tuples(arr, st.none() | arr), max_size=max_gens))
     return sh, [BiPoly(sh, a) if b is None else BiPoly(sh, a) * BiPoly(sh, b)
                 for a, b in pairs]
 
@@ -162,6 +163,8 @@ def test_layers_match_gcd_over_oracle_closure(problem):
 def test_shift_matrix_over_budget_refused():
     sh = RingShape(F2, 32, 32)
     one = BiPoly.one(sh)
+    # three generators at 32 x 32: 3 * 1024^3 rows * columns * rank is over
+    # the work budget of 2^31
     with pytest.raises(BoundsError, match="elimination budget"):
         span_basis(sh, [one, one.shift_x(), one.shift_y()])
     # zero generators add no rows
@@ -174,8 +177,8 @@ def _no_elimination(*args):
 
 
 def test_one_generator_over_work_budget_refused(monkeypatch):
-    # 38 x 38 fits the entry budget (1444^2 < 2^21) but not the work
-    # budget (1444^3 > 2^31): unchecked, its elimination takes about 40 s
+    # one generator at 38 x 38 is over the work budget (1444^3 > 2^31):
+    # unchecked, its elimination takes about 40 s
     monkeypatch.setattr(ideal, "_rref", _no_elimination)
     sh = RingShape(F2, 38, 38)
     start = time.perf_counter()
@@ -185,7 +188,8 @@ def test_one_generator_over_work_budget_refused(monkeypatch):
 
 
 def test_two_generators_at_32_by_32_pass_preflight(monkeypatch):
-    # exactly at both budgets; the stub stands in for the 20 s elimination
+    # exactly at the work budget, and its 2^21 shift entries are one step of
+    # four chunk budgets; the stub stands in for the 20 s elimination
     seen = []
 
     def stub(mat, fld, cols):
@@ -197,6 +201,47 @@ def test_two_generators_at_32_by_32_pass_preflight(monkeypatch):
     one = BiPoly.one(sh)
     assert span_basis(sh, [one, one.shift_x()]).dimension == 0
     assert seen == [(2048, 1024)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ideals(fields=(GF(2), GF(3), GF(2, 2)), smax=5, max_gens=5))
+def test_span_basis_same_in_steps_of_fewer_generators(problem):
+    """A chunk budget of 1 entry eliminates one generator's shifts per step
+    (four at n = 1), and one of n^2 / 2 entries two per step; each step
+    joins the basis so far, so matrix and pivots are those of one step."""
+    sh, gens = problem
+    whole = span_basis(sh, gens)
+    for chunk in (1, sh.n * sh.n // 2):
+        with mock.patch.object(ideal, "_GATHER_ELEMS", chunk):
+            stepped = span_basis(sh, gens)
+        assert stepped.matrix.shape == whole.matrix.shape, chunk
+        assert stepped.matrix.tobytes() == whole.matrix.tobytes(), chunk
+        assert stepped.pivots == whole.pivots, chunk
+
+
+def test_many_generators_reach_in_flat_memory():
+    """513 and 1,025 elements of <(1 + x)(1 + y)> at 8 x 8, over the
+    2^21 / n^2 = 512 generators of one step, take two and three steps.
+    Their basis is that of (1 + x)(1 + y) alone, and the traced peak
+    (65 and 81 MiB here) stays under six step-sized arrays of 2^21 int64
+    entries, 96 MiB, however many generators there are."""
+    sh = RingShape(F2, 8, 8)
+    one = BiPoly.one(sh)
+    box = (one + one.shift_x()) * (one + one.shift_y())
+    want = span_basis(sh, [box])
+    rng = np.random.default_rng(5)
+    # box first: the last step's random multiples alone span less than it
+    gens = [box] + [box * BiPoly(sh, rng.integers(0, 2, (8, 8))) for _ in range(1024)]
+    for count in (513, 1025):
+        tracemalloc.start()
+        try:
+            got = span_basis(sh, gens[:count])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes() and got.pivots == want.pivots
+        assert peak < 6 * 4 * ring2d._GATHER_ELEMS * 8, (count, peak)
 
 
 # -- extract_generators --------------------------------------------------------
