@@ -196,7 +196,7 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     total = fld.q**gm.k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    gamma, pivots = _rref(gm.rows, fld, range(n))
+    gamma, pivots = _rref(gm.rows.copy(), fld, range(n))  # gm.rows is read-only
     k = len(pivots)
     if k == 0:
         raise ValueError("minimum distance is undefined for a dimension-0 code")

@@ -84,8 +84,8 @@ def _digits(n: int, p: int, k: int) -> list[int]:
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg(mod)/2."""
     F = GF(p)
-    f = Poly(F, mod)
-    return all(f % Poly(F, _digits(n, p, d) + [1])
+    f = Poly._wrap(F, mod)
+    return all(f % Poly._wrap(F, _digits(n, p, d) + [1])
                for d in range(1, (len(mod) - 1) // 2 + 1) for n in range(p**d))
 
 
@@ -166,7 +166,8 @@ class Field:
     def _raw_mul(self, a: int, b: int) -> int:
         """a * b as polynomials over GF(p), reduced by the modulus."""
         F = GF(self.p)
-        prod = Poly(F, self.coords(a)) * Poly(F, self.coords(b)) % Poly(F, self.modulus)
+        prod = (Poly._wrap(F, self.coords(a)) * Poly._wrap(F, self.coords(b))
+                % Poly._wrap(F, self.modulus))
         return self.from_coords(prod.coeffs)
 
     def _times(self, c: int) -> np.ndarray:

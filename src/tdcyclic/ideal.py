@@ -47,11 +47,11 @@ MAX_ELIMINATION_WORK = 1 << 31
 
 # -- exact linear algebra over the field (engine side) ----------------------
 
-def _rref(mat: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
+def _rref(a: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form with pivots sought in the column order
-    ``cols``; returns (nonzero rows in the columns of mat, pivot columns
-    in the order they were found)."""
-    a = np.array(mat, dtype=np.int64)
+    ``cols``, eliminated in place on a, a writable int64 array of canonical
+    elements that the caller owns; returns (the nonzero rows as a view of a,
+    the pivot columns in the order they were found)."""
     nrows = len(a)
     r = 0
     pivots = []
@@ -214,9 +214,10 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
     step = max(1, 4 * _GATHER_ELEMS // (n * n))
     mat, pivots = np.zeros((0, n), dtype=np.int64), ()
     for t in range(0, len(arrs), step):
-        # gathered inline, so the shifts are freed before _rref copies the step
+        # the step is a fresh array, which _rref eliminates in place
         mat, pivots = _rref(np.concatenate(
             [mat, np.stack(arrs[t:t + step])[:, src_i, src_j].reshape(-1, n)]), fld, cols)
+    mat = mat.copy()  # the basis rows alone, not a view of the whole last step
     mat.setflags(write=False)
     return EchelonBasis(shape, mat, pivots)
 
@@ -250,11 +251,11 @@ def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
             quotients.append(())
             continue
         row = basis.matrix[r]
-        coords = [Poly(fld, row[i * s:(i + 1) * s].tolist()) for i in range(j, ell)]
+        coords = [Poly._wrap(fld, row[i * s:(i + 1) * s].tolist()) for i in range(j, ell)]
         g = coords[0]
         base = g if j == 0 else base
         layers.append(LayerInfo(j, CyclicPoly.from_poly(g, s), g.degree, cofactor(g, s)))
-        gens.append(BiPoly.from_vector(shape, row, INTERNAL))
+        gens.append(BiPoly._wrap(shape, row.reshape(ell, s).T.copy()))  # INTERNAL order
         qs = []
         for i, c in enumerate(coords, j):
             q, rem = divmod(c, base)
@@ -294,7 +295,7 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
     coeffs = []
     trace = []
     for k in range(ell):
-        q, r = divmod(Poly(fld, h.arr[:, k].tolist()),
+        q, r = divmod(Poly._wrap(fld, h.arr[:, k].tolist()),
                       gs.layers[k].gen.lift() or xs_minus_one(fld, s))
         if r:
             raise NotMember(k)

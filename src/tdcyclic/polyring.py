@@ -6,16 +6,35 @@ None, not a number).  ``CyclicPoly`` is a residue of F[x]/(x^s - 1) kept
 as a fixed-length vector of exactly s coefficients; index arithmetic
 wraps modulo s, which is what makes multiplication by x a cyclic shift.
 
+Values are checked once, where they come in: the public constructors
+``Poly(...)`` and ``CyclicPoly(...)``, and the scalar of ``Poly.scale``,
+read every coefficient through ``Field.make``, which refuses anything but
+an integer.  Every result this module computes is canonical by
+construction, Python ints in [0, q) from the field's own operations, so
+it is built by the trusted ``_wrap`` of its class without a second check,
+as ``BiPoly._wrap`` does for arrays.  ``xs_minus_one`` and ``cofactor``
+keep their last 256 results, since the engine divides x^s - 1 by the same
+few layer generators again and again; ``Field`` and ``Poly`` are
+immutable and hashable, so they key the cache.
+
 The field is duck-typed, so this module has no run-time dependency on
 ``gf``, which builds its extension fields from ``Poly`` over GF(p).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .gf import Field
+
+
+# results kept by xs_minus_one and by cofactor: random ideals over six fields
+# with s <= 6 meet about a hundred divisors, and a result holds s + 1 coefficients.
+# The caches are typed, so an s of 4.0 still fails as it would uncached
+# instead of finding the result kept for 4.
+_CACHE_SIZE = 256
 
 
 def _check_same_field(a, b):
@@ -39,12 +58,24 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
+    def _wrap(cls, field: Field, coeffs) -> "Poly":
+        # trusted internal path: coeffs are canonical Python ints in [0, q);
+        # only trailing zeros are trimmed
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "coeffs", tuple(coeffs[:n]))
+        return obj
+
+    @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
+        return cls._wrap(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, (1,))
+        return cls._wrap(field, (1,))
 
     @property
     def degree(self):
@@ -70,7 +101,7 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         f, c = self.field, self.field.make(c)
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly._wrap(f, [f.mul(c, a) for a in self.coeffs])
 
     def __add__(self, other: "Poly") -> "Poly":
         _check_same_field(self, other)
@@ -81,7 +112,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return Poly._wrap(f, out)
 
     def __neg__(self) -> "Poly":
         return self.scale(self.field.neg(1))
@@ -102,13 +133,14 @@ class Poly:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] = fadd(out[i + j], fmul(ai, bj))
-        return Poly(f, out)
+        return Poly._wrap(f, out)
 
     def __divmod__(self, other: "Poly"):
         _check_same_field(self, other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
+        fmul, fsub = f.mul, f.sub
         r = list(self.coeffs)
         b = other.coeffs
         db = len(b) - 1
@@ -116,13 +148,13 @@ class Poly:
         q = [0] * max(len(r) - db, 0)
         while r and len(r) - 1 >= db:
             shift = len(r) - 1 - db
-            factor = f.mul(r[-1], inv_lead)
+            factor = fmul(r[-1], inv_lead)
             q[shift] = factor
             for i, bc in enumerate(b):
-                r[shift + i] = f.sub(r[shift + i], f.mul(factor, bc))
+                r[shift + i] = fsub(r[shift + i], fmul(factor, bc))
             while r and r[-1] == 0:
                 r.pop()
-        return Poly(f, q), Poly(f, r)
+        return Poly._wrap(f, q), Poly._wrap(f, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -170,10 +202,10 @@ def xgcd(a: Poly, b: Poly):
         return zero, zero, zero
     if not b:
         g = a.monic()
-        return g, Poly(f, (f.inv(a.lc),)), zero
+        return g, Poly._wrap(f, (f.inv(a.lc),)), zero
     if not a:
         g = b.monic()
-        return g, zero, Poly(f, (f.inv(b.lc),))
+        return g, zero, Poly._wrap(f, (f.inv(b.lc),))
     r0, r1 = a, b
     u0, u1 = one, zero
     while r1:
@@ -189,11 +221,12 @@ def xgcd(a: Poly, b: Poly):
     return g, u, v
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def xs_minus_one(field: Field, s: int) -> Poly:
     """The polynomial x^s - 1."""
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
-    return Poly(field, (field.neg(1),) + (0,) * (s - 1) + (1,))
+    return Poly._wrap(field, (field.neg(1),) + (0,) * (s - 1) + (1,))
 
 
 def divides_xs_minus_one(f: Poly, s: int) -> bool:
@@ -203,8 +236,10 @@ def divides_xs_minus_one(f: Poly, s: int) -> bool:
     return not (xs_minus_one(f.field, s) % f)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def cofactor(f: Poly, s: int) -> Poly:
-    """Exact quotient (x^s - 1) / f; raises ValueError if f is not a divisor."""
+    """Exact quotient (x^s - 1) / f; raises ValueError if f is not a divisor
+    (on every call: a raised error is not kept)."""
     if not f:
         raise ValueError("zero polynomial divides nothing")
     q, r = divmod(xs_minus_one(f.field, s), f)
@@ -233,17 +268,29 @@ class CyclicPoly:
     def __setattr__(self, name, value):
         raise AttributeError("CyclicPoly is immutable")
 
+    @classmethod
+    def _wrap(cls, field: Field, coeffs) -> "CyclicPoly":
+        # trusted internal path: coeffs are canonical Python ints in [0, q);
+        # only an empty vector (s < 1) is still refused
+        cs = tuple(coeffs)
+        if not cs:
+            raise ValueError("a residue needs s >= 1 coefficients")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "coeffs", cs)
+        return obj
+
     @property
     def s(self) -> int:
         return len(self.coeffs)
 
     @classmethod
     def zero(cls, field: Field, s: int) -> "CyclicPoly":
-        return cls(field, (0,) * s)
+        return cls._wrap(field, (0,) * s)
 
     @classmethod
     def one(cls, field: Field, s: int) -> "CyclicPoly":
-        return cls(field, (1,) + (0,) * (s - 1))
+        return cls._wrap(field, (1,) + (0,) * (s - 1))
 
     @classmethod
     def from_poly(cls, f: Poly, s: int) -> "CyclicPoly":
@@ -253,11 +300,11 @@ class CyclicPoly:
         for i, c in enumerate(f.coeffs):
             if c:
                 out[i % s] = fld.add(out[i % s], c)
-        return cls(fld, out)
+        return cls._wrap(fld, out)
 
     def lift(self) -> Poly:
         """Canonical representative of degree < s."""
-        return Poly(self.field, self.coeffs)
+        return Poly._wrap(self.field, self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -294,7 +341,7 @@ class CyclicPoly:
         """Multiply by x^t: coefficient index i moves to (i + t) mod s."""
         s = self.s
         t %= s
-        return CyclicPoly(self.field, self.coeffs[s - t:] + self.coeffs[:s - t])
+        return CyclicPoly._wrap(self.field, self.coeffs[s - t:] + self.coeffs[:s - t])
 
     def __eq__(self, other):
         return (isinstance(other, CyclicPoly)

@@ -157,7 +157,7 @@ class BiPoly:
 
     def coord(self, j: int) -> CyclicPoly:
         """Coefficient of y^j as a cyclic residue in x."""
-        return CyclicPoly(self.shape.field, self.arr[:, j].tolist())
+        return CyclicPoly._wrap(self.shape.field, self.arr[:, j].tolist())
 
     def coords(self) -> tuple[CyclicPoly, ...]:
         return tuple(self.coord(j) for j in range(self.shape.ell))

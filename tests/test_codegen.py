@@ -485,14 +485,14 @@ def test_rows_not_closed_under_shifts_keep_the_one_set_bound():
             gm = generator_matrix(extract_generators(sh, random_generators(rng, sh)))
             if 2 <= gm.k < gm.n and F.q**gm.k <= 1 << 12:
                 break
-        assert codegen._shift_closed(sh, *codegen._rref(gm.rows, F, range(gm.n)))
+        assert codegen._shift_closed(sh, *codegen._rref(gm.rows.copy(), F, range(gm.n)))
         rows = gm.rows.copy()
         while True:
             rows[-1] = [rng.randrange(F.q) for _ in range(gm.n)]
             if reduced_span(F, gm.n, np.vstack([gm.rows, rows[-1:]])).shape[0] > gm.k:
                 break
         assert not check_shift_closure(sh, rows)
-        assert not codegen._shift_closed(sh, *codegen._rref(rows, F, range(gm.n)))
+        assert not codegen._shift_closed(sh, *codegen._rref(rows.copy(), F, range(gm.n)))
         assert min_distance(GeneratorMatrix(sh, rows, gm.labels)) == \
             _least_weight_of_all_messages(F, rows)
 

@@ -3,9 +3,9 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_mul, gf_rem
 
-from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, Field, GeneratorMatrix, RingShape,
-                      default_modulus, encode, field_descriptor, field_from_descriptor,
-                      reduced_span)
+from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, CyclicPoly, Field, GeneratorMatrix,
+                      Poly, RingShape, default_modulus, encode, field_descriptor,
+                      field_from_descriptor, reduced_span)
 from tdcyclic.gf import _is_prime
 
 
@@ -85,6 +85,9 @@ _VALUE_GATES = {
     "encode": lambda F, v: encode(GeneratorMatrix(RingShape(F, 2, 1), [[1, 1]], ((0, 0),)),
                                   [v])[0],
     "oracle._raw_vectors": lambda F, v: reduced_span(F, 2, [[1, v]])[0, 1],
+    "Poly": lambda F, v: Poly(F, [v, 1]).coeffs[0],
+    "CyclicPoly": lambda F, v: CyclicPoly(F, [v, 1]).coeffs[0],
+    "Poly.scale": lambda F, v: Poly.one(F).scale(v).coeffs[0],
 }
 
 

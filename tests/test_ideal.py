@@ -223,7 +223,7 @@ def test_many_generators_reach_in_flat_memory():
     """513 and 1,025 elements of <(1 + x)(1 + y)> at 8 x 8, over the
     2^21 / n^2 = 512 generators of one step, take two and three steps.
     Their basis is that of (1 + x)(1 + y) alone, and the traced peak
-    (65 and 81 MiB here) stays under six step-sized arrays of 2^21 int64
+    (49 and 65 MiB here) stays under six step-sized arrays of 2^21 int64
     entries, 96 MiB, however many generators there are."""
     sh = RingShape(F2, 8, 8)
     one = BiPoly.one(sh)
@@ -242,6 +242,29 @@ def test_many_generators_reach_in_flat_memory():
         assert got.matrix.shape == want.matrix.shape
         assert got.matrix.tobytes() == want.matrix.tobytes() and got.pivots == want.pivots
         assert peak < 6 * 4 * ring2d._GATHER_ELEMS * 8, (count, peak)
+
+
+def test_one_step_is_eliminated_in_place():
+    """512 multiples of (1 + x)(1 + y) at 8 x 8 fill one elimination step of
+    2^21 int64 entries, 16 MiB, which _rref eliminates where span_basis
+    built it: the traced peak (49 MiB here) stays under 56 MiB, where a
+    copy of the step would take it to 65 MiB.  The basis keeps its 49 rows
+    and not the step they were eliminated in."""
+    sh = RingShape(F2, 8, 8)
+    one = BiPoly.one(sh)
+    box = (one + one.shift_x()) * (one + one.shift_y())
+    rng = np.random.default_rng(5)
+    gens = [box] + [box * BiPoly(sh, rng.integers(0, 2, (8, 8))) for _ in range(511)]
+    assert len(gens) * sh.n * sh.n == 4 * ring2d._GATHER_ELEMS
+    tracemalloc.start()
+    try:
+        got = span_basis(sh, gens)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.matrix.tobytes() == span_basis(sh, [box]).matrix.tobytes()
+    assert peak < 56 * 2**20, peak
+    assert held < 2**20, held
 
 
 # -- extract_generators --------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcd, gf_gcdex, gf_mul, gf_quo, gf_rem
 
@@ -246,3 +248,61 @@ def test_gcd_xgcd_and_divisors_match_sympy(p):
         else:
             with pytest.raises(ValueError):
                 cofactor(f, s)
+
+
+# -- the trusted construction path --------------------------------------------------
+
+_TRUSTED_FIELDS = (GF(2), GF(3), GF(2, 2), GF(3, 2))
+
+
+def _assert_canonical(r):
+    """r is canonical as built, and equal, hash included, to its rebuild
+    through the public constructor, which checks every coefficient."""
+    q = r.field.q
+    assert all(type(c) is int and 0 <= c < q for c in r.coeffs), r.coeffs
+    if isinstance(r, Poly):
+        assert not r.coeffs or r.coeffs[-1] != 0, r.coeffs
+    rebuilt = type(r)(r.field, r.coeffs)
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_results_are_canonical_without_the_value_gate(data):
+    """Every result of the polynomial layer is built by the trusted _wrap:
+    Python ints in [0, q), no trailing zero, the same as the gated rebuild."""
+    F = data.draw(st.sampled_from(_TRUSTED_FIELDS))
+    coeffs = st.lists(st.integers(0, F.q - 1), max_size=7)
+    a, b = Poly(F, data.draw(coeffs)), Poly(F, data.draw(coeffs))
+    c = data.draw(st.integers(0, F.q - 1))
+    s = data.draw(st.integers(1, 6))
+    t = data.draw(st.integers(-7, 7))
+    xs1 = xs_minus_one(F, s)
+    g = gcd(a, xs1)  # a divisor of x^s - 1
+    ra, rb = CyclicPoly.from_poly(a, s), CyclicPoly.from_poly(b, s)
+    results = [a + b, a - b, -a, a * b, a.scale(c), a.monic(), *xgcd(a, b),
+               xs1, cofactor(g, s), ra, rb, ra.lift(), ra.shift(t), ra + rb, ra - rb,
+               ra * rb, -ra, ra.scale(c), CyclicPoly.zero(F, s), CyclicPoly.one(F, s),
+               Poly.zero(F), Poly.one(F)]
+    if b:
+        results += divmod(a, b)
+    for r in results:
+        _assert_canonical(r)
+
+
+@pytest.mark.parametrize("F", _TRUSTED_FIELDS, ids=["GF(2)", "GF(3)", "GF(4)", "GF(9)"])
+def test_cached_cofactor_refuses_on_every_call(F):
+    """cofactor keeps its results, but not its errors: zero and a
+    non-divisor are refused each time they are asked for, and an s that
+    only equals a kept one (4.0 for 4) is not served from the cache."""
+    x = Poly(F, [0, 1])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^zero polynomial divides nothing$"):
+            cofactor(Poly.zero(F), 4)
+        with pytest.raises(ValueError, match="does not divide"):
+            cofactor(x, 4)
+    assert cofactor(Poly(F, [F.neg(1), 1]), 4) is cofactor(Poly(F, [F.neg(1), 1]), 4)
+    with pytest.raises(TypeError):
+        xs_minus_one(F, 4.0)
+    with pytest.raises(TypeError):
+        cofactor(Poly(F, [F.neg(1), 1]), 4.0)
