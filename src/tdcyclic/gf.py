@@ -16,7 +16,8 @@ exp[log a + log b], for scalars and arrays alike.  log[0] points into a
 zero-filled tail of exp, so a zero factor needs no branch.  Addition is
 XOR for p = 2 and otherwise one pass over the base-p digits, one digit
 at a time.  The tables hold about 5q entries, against q^2 for full
-addition and multiplication tables.
+addition and multiplication tables.  They are read-only: a ``Field`` is a
+frozen dataclass that compares and hashes by (p, m, modulus).
 
 ``Field.dot`` is the one kernel for linear combinations of rows, c @ rows
 for one coefficient vector or a batch of them.  Prime fields take one
@@ -35,6 +36,7 @@ so a constructed ``Field`` really is a field.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +115,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Field:
     """GF(p^m) calculator over integer-encoded elements.
 
@@ -127,7 +130,14 @@ class Field:
     p, m and the modulus entries must be integers, as for ``make``.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_exp_np", "_log_np")
+    p: int
+    m: int
+    q: int = field(compare=False)
+    modulus: tuple[int, ...] | None
+    _exp: list[int] | None = field(compare=False)
+    _log: list[int] | None = field(compare=False)
+    _exp_np: np.ndarray | None = field(compare=False)
+    _log_np: np.ndarray | None = field(compare=False)
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         p, m = _integer(p, "characteristic"), _integer(m, "extension degree")
@@ -140,15 +150,11 @@ class Field:
             raise BoundsError(f"field size {p}^{m} exceeds desk-scale limit {MAX_FIELD_SIZE}")
         if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        self.p, self.m, self.q = p, m, p**m
-        self._exp = self._log = self._exp_np = self._log_np = None
-
         if m == 1:
             if modulus is not None:
                 raise ValueError("modulus only applies to extension fields (m > 1)")
-            self.modulus = None
-            return
-        if modulus is None:
+            mod = None
+        elif modulus is None:
             mod = default_modulus(p, m)
         else:
             mod = tuple(_integer(c, "modulus entry") % p for c in modulus)
@@ -158,8 +164,11 @@ class Field:
                 raise ValueError("modulus must be monic")
             if not _is_irreducible(mod, p):
                 raise ValueError(f"modulus {mod} is reducible over GF({p})")
-        self.modulus = mod
-        self._build_exp_log()
+        for name, value in zip(("p", "m", "q", "modulus"), (p, m, p**m, mod)):
+            object.__setattr__(self, name, value)
+        tables = self._build_exp_log() if m > 1 else (None,) * 4
+        for name, value in zip(("_exp_np", "_log_np", "_exp", "_log"), tables):
+            object.__setattr__(self, name, value)
 
     # -- construction helpers ---------------------------------------------
 
@@ -184,8 +193,8 @@ class Field:
             out = self.add_arrays(multiples[:, None], out[None, :]).ravel()
         return out
 
-    def _build_exp_log(self):
-        """exp/log tables of a primitive element g.
+    def _build_exp_log(self) -> tuple:
+        """Read-only exp/log arrays of a primitive element g, and their lists.
 
         g is the first encoding with g^(n/r) != 1 for every prime r | n,
         n = q - 1.  The search starts at p: an encoding below p lies in the
@@ -203,14 +212,15 @@ class Field:
             powers = np.concatenate([powers, step[powers]])
             step = step[step]
         powers = powers[:n]
-        self._exp_np = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=np.int64)])
+        exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=np.int64)])
         # int32 logs (< 2^31 for q <= 2^16) halve the index temporaries of a gather
-        self._log_np = np.empty(self.q, dtype=np.int32)
-        self._log_np[powers] = np.arange(n)
-        self._log_np[0] = 2 * n
+        log = np.empty(self.q, dtype=np.int32)
+        log[powers] = np.arange(n)
+        log[0] = 2 * n
+        exp.setflags(write=False)
+        log.setflags(write=False)
         # Python lists for scalar ops: faster lookups, and plain ints out
-        self._exp = self._exp_np.tolist()
-        self._log = self._log_np.tolist()
+        return exp, log, exp.tolist(), log.tolist()
 
     # -- scalar operations --------------------------------------------------
 
@@ -368,12 +378,9 @@ class Field:
 
     # -- misc ---------------------------------------------------------------
 
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+    def __reduce__(self):
+        # copies and pickles rebuild through GF: the cached field, whose tables stay read-only
+        return GF, (self.p, self.m, self.modulus)
 
     def __repr__(self):
         if self.m == 1:

@@ -104,7 +104,7 @@ class EchelonBasis:
 
     def residual(self, e: BiPoly) -> BiPoly:
         """Remainder of e after elimination against the basis."""
-        if e.shape != self.shape:
+        if not isinstance(e, BiPoly) or e.shape != self.shape:
             raise ValueError("element does not match the ring shape")
         fld = self.shape.field
         v = e.to_vector(INTERNAL)
@@ -158,7 +158,7 @@ class GeneratorSet:
         if not len(self.layers) == len(self.gens) == len(self.quotients) == ell:
             raise ValueError(f"{len(self.layers)} layers, {len(self.gens)} gens and "
                              f"{len(self.quotients)} quotient rows do not match ell = {ell}")
-        if any(g.shape != self.shape for g in self.gens):
+        if any(not isinstance(g, BiPoly) or g.shape != self.shape for g in self.gens):
             raise ValueError("generating polynomial does not match the ring shape")
 
     def to_json_dict(self) -> dict:
@@ -198,7 +198,7 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
     """
     arrs = []
     for g in generators:
-        if g.shape != shape:
+        if not isinstance(g, BiPoly) or g.shape != shape:
             raise ValueError("generator does not match the ring shape")
         if not g.is_zero:
             arrs.append(g.arr)
@@ -288,7 +288,7 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
     cofactor 1), which leaves any nonzero coordinate as the remainder.
     """
     shape = gs.shape
-    if f.shape != shape:
+    if not isinstance(f, BiPoly) or f.shape != shape:
         raise ValueError("element does not match the ring shape")
     fld, s, ell = shape.field, shape.s, shape.ell
     h = f

@@ -14,8 +14,10 @@ construction, Python ints in [0, q) from the field's own operations, so
 it is built by the trusted ``_wrap`` of its class without a second check,
 as ``BiPoly._wrap`` does for arrays.  ``xs_minus_one`` and ``cofactor``
 keep their last 256 results, since the engine divides x^s - 1 by the same
-few layer generators again and again; ``Field`` and ``Poly`` are
-immutable and hashable, so they key the cache.
+few layer generators again and again.  ``Field``, ``Poly`` and
+``CyclicPoly`` are frozen dataclasses that hash by value, so they key the
+cache, and immutability is enforced: assigning or deleting a field raises
+``AttributeError``.  Copying and pickling give back an equal value.
 
 The field is duck-typed, so this module has no run-time dependency on
 ``gf``, which builds its extension fields from ``Poly`` over GF(p).
@@ -24,6 +26,7 @@ The field is duck-typed, so this module has no run-time dependency on
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -42,10 +45,12 @@ def _check_same_field(a, b):
         raise ValueError("field mismatch between operands")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
     """Dense univariate polynomial with canonical (trimmed) coefficients."""
 
-    __slots__ = ("field", "coeffs")
+    field: Field
+    coeffs: tuple[int, ...]
 
     def __init__(self, field: Field, coeffs=()):
         cs = [field.make(c) for c in coeffs]
@@ -53,9 +58,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _wrap(cls, field: Field, coeffs) -> "Poly":
@@ -162,13 +164,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __eq__(self, other):
-        return (isinstance(other, Poly)
-                and self.field == other.field and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -248,6 +243,7 @@ def cofactor(f: Poly, s: int) -> Poly:
     return q
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CyclicPoly:
     """Residue of F[x]/(x^s - 1) as a fixed-length coefficient vector.
 
@@ -256,7 +252,8 @@ class CyclicPoly:
     by ``Poly`` and folded back by ``from_poly``.
     """
 
-    __slots__ = ("field", "coeffs")
+    field: Field
+    coeffs: tuple[int, ...]
 
     def __init__(self, field: Field, coeffs):
         cs = tuple(field.make(c) for c in coeffs)
@@ -264,9 +261,6 @@ class CyclicPoly:
             raise ValueError("a residue needs s >= 1 coefficients")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicPoly is immutable")
 
     @classmethod
     def _wrap(cls, field: Field, coeffs) -> "CyclicPoly":
@@ -342,13 +336,6 @@ class CyclicPoly:
         s = self.s
         t %= s
         return CyclicPoly._wrap(self.field, self.coeffs[s - t:] + self.coeffs[:s - t])
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicPoly)
-                and self.field == other.field and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return f"CyclicPoly({list(self.coeffs)} mod x^{self.s}-1)"

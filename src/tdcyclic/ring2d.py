@@ -89,12 +89,15 @@ class RingShape:
         return self.s * self.ell
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class BiPoly:
     """Element of the bivariate cyclic ring / s x ell codeword array.  The
     array's entries go through Field.make_array: integers are taken mod q,
-    and anything else raises ValueError."""
+    and anything else raises ValueError.  A BiPoly is frozen: its fields
+    cannot be assigned or deleted, and ``arr`` is a read-only array."""
 
-    __slots__ = ("shape", "arr")
+    shape: RingShape
+    arr: np.ndarray
 
     def __init__(self, shape: RingShape, array):
         a = shape.field.make_array(array)
@@ -104,9 +107,6 @@ class BiPoly:
         a.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "arr", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
 
     @classmethod
     def _wrap(cls, shape: RingShape, arr: np.ndarray) -> "BiPoly":
@@ -243,6 +243,10 @@ class BiPoly:
 
     def __hash__(self):
         return hash((self.shape, self.arr.tobytes()))
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so arr is read-only again
+        return BiPoly, (self.shape, self.arr)
 
     def __repr__(self):
         return f"BiPoly({self.arr.tolist()})"

@@ -382,6 +382,27 @@ def test_elements_of_another_shape_refused():
         decompose(stranger, extract_generators(sh, gens))
 
 
+@pytest.mark.parametrize("value", [[[1, 0], [0, 0]], np.array([[1, 0], [0, 0]]), None,
+                                   CyclicPoly(F2, [1, 0])],
+                         ids=["list", "ndarray", "None", "CyclicPoly"])
+@pytest.mark.parametrize("entry", ["span_basis", "decompose", "residual", "contains",
+                                   "GeneratorSet"])
+def test_entry_points_refuse_a_non_element(entry, value):
+    # the engine reads BiPoly only; the oracle's entry points are the ones that take raw vectors
+    sh, gens = fixture()
+    basis, gs = span_basis(sh, gens), extract_generators(sh, gens)
+    call, what = {
+        "span_basis": (lambda: span_basis(sh, [value]), "generator"),
+        "decompose": (lambda: decompose(value, gs), "element"),
+        "residual": (lambda: basis.residual(value), "element"),
+        "contains": (lambda: basis.contains(value), "element"),
+        "GeneratorSet": (lambda: dataclasses.replace(gs, gens=(gs.gens[0], value)),
+                         "generating polynomial"),
+    }[entry]
+    with pytest.raises(ValueError, match=f"^{what} does not match the ring shape$"):
+        call()
+
+
 def test_dimension_identity():
     rng = random.Random(53)
     for sh in random_shapes(rng, 30, fields=(2, 3, 4)):

@@ -1,0 +1,122 @@
+"""The ring's value types are frozen: Field, Poly, CyclicPoly and BiPoly,
+and the results built from them, can be neither changed nor broken by
+copying, and they compare and hash by value."""
+
+import copy
+import pickle
+
+import pytest
+
+from tdcyclic import (GF, BiPoly, CyclicPoly, Field, Poly, RingShape, cofactor, decompose,
+                      extract_generators)
+
+F4 = GF(2, 2)
+SHAPE = RingShape(F4, 3, 3)
+G = BiPoly(SHAPE, [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+def _values():
+    return {
+        "Field": F4,
+        "Poly": Poly(F4, [1, 2, 3]),
+        "CyclicPoly": CyclicPoly(F4, [0, 3, 1]),
+        "BiPoly": BiPoly(SHAPE, [[0, 2, 2], [3, 0, 3], [3, 2, 1]]),
+    }
+
+
+# every field of each class
+FIELDS = {
+    "Field": ("p", "m", "q", "modulus", "_exp", "_log", "_exp_np", "_log_np"),
+    "Poly": ("field", "coeffs"),
+    "CyclicPoly": ("field", "coeffs"),
+    "BiPoly": ("shape", "arr"),
+}
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_generator_set_survives_copy_and_pickle(trip):
+    gs = extract_generators(SHAPE, [G])
+    assert ROUND_TRIPS[trip](gs).to_json_dict() == gs.to_json_dict()
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_decomposition_survives_copy_and_pickle(trip):
+    gs = extract_generators(SHAPE, [G])
+    member = G * BiPoly(SHAPE, [[1, 2, 0], [0, 3, 1], [2, 0, 1]])
+    dec = decompose(member, gs, want_trace=True)
+    out = ROUND_TRIPS[trip](dec)
+    assert out.coeffs == dec.coeffs
+    assert [h.arr.tolist() for h in out.trace] == [h.arr.tolist() for h in dec.trace]
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+@pytest.mark.parametrize("kind", FIELDS)
+def test_values_come_back_equal_and_hash_equal(kind, trip):
+    value = _values()[kind]
+    out = ROUND_TRIPS[trip](value)
+    assert type(out) is type(value)
+    assert out == value and hash(out) == hash(value)
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_arrays_stay_read_only_through_copy_and_pickle(trip):
+    assert not ROUND_TRIPS[trip](_values()["BiPoly"]).arr.flags.writeable
+    out = ROUND_TRIPS[trip](F4)
+    assert not out._exp_np.flags.writeable and not out._log_np.flags.writeable
+
+
+@pytest.mark.parametrize("kind", FIELDS)
+def test_fields_cannot_be_assigned_or_deleted(kind):
+    value = _values()[kind]
+    before = {name: getattr(value, name) for name in FIELDS[kind]}
+    for name in FIELDS[kind]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 9)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for name, v in before.items():
+        assert getattr(value, name) is v
+    assert not hasattr(value, "__dict__")
+
+
+def test_refused_assignment_leaves_the_cached_field_as_it_was():
+    with pytest.raises(AttributeError):
+        GF(3).q = 9
+    assert GF(3).q == 3 and GF(3).add(2, 2) == 1
+
+
+def test_refused_delete_leaves_a_cached_cofactor_intact():
+    g = Poly(GF(2), [1, 1])
+    with pytest.raises(AttributeError):
+        del cofactor(g, 3).coeffs
+    assert cofactor(g, 3).coeffs == (1, 1, 1)
+
+
+@pytest.mark.parametrize("table", ["_exp_np", "_log_np"])
+def test_field_tables_are_read_only(table):
+    t = getattr(GF(3, 2), table)
+    before = t.tolist()
+    with pytest.raises(ValueError):
+        t[1] += 1
+    assert t.tolist() == before
+
+
+def test_equality_rules():
+    assert Poly(F4, [1, 2]) != CyclicPoly(F4, [1, 2])
+    assert CyclicPoly(F4, [1, 2]) != Poly(F4, [1, 2])
+    assert (Poly(F4, [1]) == 1) is False
+    assert Poly(F4, [1, 2, 0]) == Poly(F4, [1, 2]) != Poly(GF(3), [1, 2])
+    assert hash(Poly(F4, [1, 2, 0])) == hash(Poly(F4, [1, 2]))
+    assert hash(CyclicPoly(F4, [5, 2])) == hash(CyclicPoly(F4, [1, 2]))
+    assert GF(3, 2) == Field(3, 2, [1, 0, 1]) != Field(3, 2, [2, 2, 1])
+    assert hash(GF(3, 2)) == hash(Field(3, 2, [1, 0, 1]))
+    a = BiPoly(SHAPE, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert a == BiPoly.one(SHAPE) and hash(a) == hash(BiPoly.one(SHAPE))
+    assert a != BiPoly.one(RingShape(GF(2), 3, 3))
+
