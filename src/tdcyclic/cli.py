@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import random
 import sys
@@ -39,7 +38,7 @@ import numpy as np
 from . import codegen, ideal, oracle
 from .errors import BoundsError, NotMember, TooLargeError
 from .gf import field_from_descriptor
-from .ring2d import BiPoly, RingShape
+from .ring2d import _GATHER_ELEMS, BiPoly, RingShape, shift_source
 
 # candidates enumerate may try: q^(s*ell) in exhaustive mode, count in random mode
 MAX_EXHAUSTIVE_CANDIDATES = 1 << 16
@@ -244,31 +243,70 @@ def cmd_verify(problem: Problem, args) -> tuple[str, int]:
     return _json_text({"checks": checks}), 0 if rep_gs.passed and rep_gm.passed else 5
 
 
+def _orbit_leaders(shape: RingShape):
+    """The exhaustive candidates, in index order, that are the least index
+    of their orbit {c x^a y^b g : c != 0}: every other candidate generates
+    the ideal of an earlier one.
+
+    Candidate t holds the base-q digit k of t at cell (k // ell, k % ell),
+    so its last nonzero cell is its most significant digit, and its least
+    scalar multiple is the one with a 1 there.  Each of the n shift images
+    is scaled by the inverse of that digit before its index is read.  The
+    candidates go in chunks whose shift images fit _GATHER_ELEMS."""
+    fld, s, ell, n = shape.field, shape.s, shape.ell, shape.n
+    q, total = fld.q, fld.q**n
+    inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.int64)
+    weights = q ** np.arange(n)
+    # index axes (a, b, i, j) put cell (i, j) of x^a y^b g in image a*ell + b at digit i*ell + j
+    src_i = shift_source(s, np.arange(s))[:, None, :, None]
+    src_j = shift_source(ell, np.arange(ell))[None, :, None, :]
+    step = max(1, _GATHER_ELEMS // (n * n))
+    for t0 in range(0, total, step):
+        t = np.arange(t0, min(t0 + step, total))
+        cands = (t[:, None] // weights % q).reshape(-1, s, ell)
+        images = cands[:, src_i, src_j].reshape(-1, n, n)
+        top = n - 1 - np.argmax(images[:, :, ::-1] != 0, axis=2)  # n - 1 for the zero image
+        lead = np.take_along_axis(images, top[:, :, None], axis=2)
+        least = (fld.mul_arrays(inv[lead], images) @ weights).min(axis=1)
+        yield from cands[least == t]
+
+
+def _distinct_draws(shape: RingShape, count: int, seed: int):
+    """The random candidates in draw order, each the first time it is drawn."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(count):
+        draw = tuple(tuple(rng.randrange(shape.field.q) for _ in range(shape.ell))
+                     for _ in range(shape.s))
+        if draw not in seen:
+            seen.add(draw)
+            yield draw
+
+
 def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
+    import hashlib  # here, not at the top: the other subcommands need not load OpenSSL
+
     shape = problem.shape
-    q = shape.field.q
     if args.mode == "exhaustive":
-        total = q**shape.n
+        total = shape.field.q**shape.n
         if total > MAX_EXHAUSTIVE_CANDIDATES:
             raise TooLargeError(
                 f"q^(s*ell) = {total} candidates exceeds exhaustive bound "
                 f"{MAX_EXHAUSTIVE_CANDIDATES}")
-        # candidate t holds the base-q digit k of t at cell (k // ell, k % ell)
-        digits = np.arange(total)[:, None] // q ** np.arange(shape.n) % q
-        candidates = digits.reshape(total, shape.s, shape.ell)
+        candidates = _orbit_leaders(shape)
     else:
         if args.count > MAX_EXHAUSTIVE_CANDIDATES:
             raise TooLargeError(
                 f"count {args.count} exceeds the candidate bound {MAX_EXHAUSTIVE_CANDIDATES}")
-        rng = random.Random(args.seed)
-        candidates = ([[rng.randrange(q) for _ in range(shape.ell)]
-                       for _ in range(shape.s)] for _ in range(args.count))
+        candidates = _distinct_draws(shape, args.count, args.seed)
 
+    # a skipped candidate generates the ideal of an earlier one, whose row is already out
     lines = ["n,k,d,hash"]
     seen = set()
     for arr in candidates:
         basis = ideal.span_basis(shape, [BiPoly(shape, arr)])
-        key = basis.matrix.tobytes()  # the reduced echelon basis is unique for the span
+        # the reduced echelon basis is unique for the span: two orbits can give one ideal
+        key = basis.matrix.tobytes()
         if key in seen:
             continue
         seen.add(key)

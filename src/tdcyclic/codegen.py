@@ -36,6 +36,7 @@ from math import comb
 import numpy as np
 
 from .errors import TooLargeError
+from .gf import _integer
 from .ideal import GeneratorSet, _rref
 from .ring2d import _GATHER_ELEMS, RingShape, shift_source
 
@@ -60,6 +61,10 @@ class GeneratorMatrix:
                              f"(len(labels), n) = ({len(self.labels)}, {self.shape.n})")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so rows is read-only again
+        return GeneratorMatrix, (self.shape, self.rows, self.labels)
 
     @property
     def k(self) -> int:
@@ -107,7 +112,7 @@ def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
     fld = gm.shape.field
     m = fld.make_array(msg)
     if m.shape != (gm.k,):
-        raise ValueError(f"message length {m.size} != k = {gm.k}")
+        raise ValueError(f"message of shape {m.shape} does not match (k,) = ({gm.k},)")
     return fld.dot(m, gm.rows)
 
 
@@ -193,6 +198,7 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     the working set stays three arrays of _GATHER_ELEMS elements."""
     fld = gm.shape.field
     n = gm.n
+    cap = _integer(cap, "cap")
     total = fld.q**gm.k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
@@ -221,6 +227,7 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
 def code_params(gs: GeneratorSet, with_distance: bool = False,
                 cap: int = DEFAULT_CAP) -> CodeParams:
     """Aggregate (n, k, q) and optionally d for the code of a GeneratorSet."""
+    cap = _integer(cap, "cap")
     k = dimension(gs)
     d = None
     if with_distance and k > 0:

@@ -94,6 +94,13 @@ class EchelonBasis:
     matrix: np.ndarray
     pivots: tuple[int, ...]
 
+    def __post_init__(self):
+        self.matrix.setflags(write=False)  # the basis takes the array over, no copy
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so matrix is read-only again
+        return EchelonBasis, (self.shape, self.matrix, self.pivots)
+
     @property
     def rows(self) -> tuple[BiPoly, ...]:
         return tuple(BiPoly.from_vector(self.shape, r, INTERNAL) for r in self.matrix)
@@ -217,9 +224,8 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
         # the step is a fresh array, which _rref eliminates in place
         mat, pivots = _rref(np.concatenate(
             [mat, np.stack(arrs[t:t + step])[:, src_i, src_j].reshape(-1, n)]), fld, cols)
-    mat = mat.copy()  # the basis rows alone, not a view of the whole last step
-    mat.setflags(write=False)
-    return EchelonBasis(shape, mat, pivots)
+    # the basis rows alone, not a view of the whole last step
+    return EchelonBasis(shape, mat.copy(), pivots)
 
 
 def layer_generator(basis: EchelonBasis, j: int) -> LayerInfo:

@@ -49,6 +49,10 @@ def test_matrix_and_enumerate_match_golden(tmp_path, capsys):
     assert code == 0 and out == (DATA / "fixture_matrix.csv").read_text()
     code, out, _ = run(capsys, ["enumerate", "--mode", "exhaustive", "--input", path])
     assert code == 0 and out == (DATA / "fixture_enumerate.csv").read_text()
+    # every ideal of the 3 x 3 binary ring with one generator: 64 orbits of 512 candidates
+    path = write_problem(tmp_path, {"field": {"p": 2, "m": 1}, "s": 3, "ell": 3})
+    code, out, _ = run(capsys, ["enumerate", "--mode", "exhaustive", "--input", path])
+    assert code == 0 and out == (DATA / "gf2_3x3_enumerate.csv").read_text()
 
 
 def test_construct_zero_generators(tmp_path, capsys):
@@ -215,20 +219,23 @@ def test_enumerate_random_count_over_bound_exits_4(tmp_path, capsys, monkeypatch
             assert err.startswith("error:") and str(count) in err, err
 
 
-def _enumerate_by_candidate(shape, mode, count=0, seed=0):
-    """The enumerate CSV from a plain loop: extract every candidate, keep
-    the first of each generating set."""
+def _candidates(shape, mode, count=0, seed=0):
+    """The enumerate candidates as nested lists, in index or draw order."""
     q, n = shape.field.q, shape.n
     if mode == "exhaustive":
         # candidate t holds the base-q digit i * ell + j of t at cell (i, j)
-        cands = [[[t // q ** (i * shape.ell + j) % q for j in range(shape.ell)]
-                  for i in range(shape.s)] for t in range(q**n)]
-    else:
-        rng = random.Random(seed)
-        cands = [[[rng.randrange(q) for _ in range(shape.ell)] for _ in range(shape.s)]
-                 for _ in range(count)]
+        return [[[t // q ** (i * shape.ell + j) % q for j in range(shape.ell)]
+                 for i in range(shape.s)] for t in range(q**n)]
+    rng = random.Random(seed)
+    return [[[rng.randrange(q) for _ in range(shape.ell)] for _ in range(shape.s)]
+            for _ in range(count)]
+
+
+def _enumerate_by_candidate(shape, mode, count=0, seed=0):
+    """The enumerate CSV from a plain loop: extract every candidate, keep
+    the first of each generating set."""
     lines, seen = ["n,k,d,hash"], set()
-    for arr in cands:
+    for arr in _candidates(shape, mode, count, seed):
         gs = extract_generators(shape, [BiPoly(shape, arr)])
         key = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
@@ -236,32 +243,68 @@ def _enumerate_by_candidate(shape, mode, count=0, seed=0):
             seen.add(digest)
             k = dimension(gs)
             d = str(min_distance(generator_matrix(gs))) if k else ""
-            lines.append(f"{n},{k},{d},{digest}")
+            lines.append(f"{shape.n},{k},{d},{digest}")
     return "\n".join(lines) + "\n"
+
+
+def _orbit_count(shape):
+    """The number of orbits {c x^a y^b g : c != 0} among the exhaustive
+    candidates, by brute force over (a, b, c)."""
+    fld, s, ell = shape.field, shape.s, shape.ell
+    return len({frozenset(tuple(fld.mul(c, g[(i - a) % s][(j - b) % ell])
+                                for i in range(s) for j in range(ell))
+                          for a in range(s) for b in range(ell) for c in range(1, fld.q))
+                for g in _candidates(shape, "exhaustive")})
 
 
 @pytest.mark.parametrize("p,m,s,ell,mode,count", [
     (2, 1, 2, 2, "exhaustive", 0), (2, 1, 2, 3, "exhaustive", 0),
     (3, 1, 2, 2, "exhaustive", 0), (2, 2, 1, 3, "exhaustive", 0),
+    (2, 1, 3, 3, "exhaustive", 0), (2, 2, 2, 2, "exhaustive", 0), (3, 1, 1, 4, "exhaustive", 0),
     (2, 1, 2, 2, "random", 60), (3, 1, 1, 3, "random", 80), (2, 2, 2, 2, "random", 40),
+    (2, 1, 2, 2, "random", 400),
 ])
 def test_enumerate_matches_candidate_loop(tmp_path, capsys, monkeypatch, p, m, s, ell,
                                           mode, count):
-    """enumerate skips a repeated ideal before reading its generating set:
-    same CSV as extracting every candidate, and one generating set read
-    per row.  The random cases draw far more candidates than there are
-    ideals, so most of them repeat."""
+    """enumerate runs the engine once per orbit of c x^a y^b (exhaustive)
+    or once per distinct draw (random), and skips a repeated ideal before
+    reading its generating set: same CSV as extracting every candidate,
+    and one generating set read per row.  The random cases draw far more
+    candidates than there are ideals, so most of them repeat."""
     shape = RingShape(GF(p, m), s, ell)
     want = _enumerate_by_candidate(shape, mode, count, seed=3)
-    reads = []
-    read = ideal.generator_set_from_basis
+    if mode == "exhaustive":
+        runs = _orbit_count(shape)
+    else:
+        runs = len({json.dumps(arr) for arr in _candidates(shape, mode, count, seed=3)})
+    spans, reads = [], []
+    span, read = ideal.span_basis, ideal.generator_set_from_basis
+    monkeypatch.setattr(ideal, "span_basis", lambda *a: spans.append(1) or span(*a))
     monkeypatch.setattr(ideal, "generator_set_from_basis",
                         lambda basis: reads.append(1) or read(basis))
     doc = {"field": {"p": p, "m": m}, "s": s, "ell": ell}
     code, out, _ = run(capsys, ["enumerate", "--input", write_problem(tmp_path, doc),
                                 "--mode", mode, "--count", str(count), "--seed", "3"])
     assert code == 0 and out == want
+    assert len(spans) == runs
     assert len(reads) == len(out.splitlines()) - 1
+
+
+def test_enumerate_at_the_candidate_bound_runs_once_per_orbit(tmp_path):
+    """GF(2^16) 1 x 1 has 2^16 candidates, the exhaustive bound, in two
+    orbits: 0 and the nonzero scalars.  A child process prints the CSV
+    that one engine run per candidate printed, after two engine runs."""
+    doc = {"field": {"p": 2, "m": 16}, "s": 1, "ell": 1}
+    counted = ("import sys; from tdcyclic import cli, ideal; runs = []; span = ideal.span_basis; "
+               "ideal.span_basis = lambda *a: runs.append(1) or span(*a); "
+               "code = cli.main(sys.argv[1:]); print(len(runs), file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", counted, "enumerate", "--input", write_problem(tmp_path, doc)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "n,k,d,hash\n1,0,,216f83dd00db9eef\n1,1,1,2af18cceb1bf63b0\n"
+    assert proc.stderr == "2\n"
 
 
 def test_distance_at_the_default_cap(tmp_path, capsys, monkeypatch):

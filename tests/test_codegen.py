@@ -95,6 +95,18 @@ def test_encode_examples():
         encode(gm, [1, 0, 0])
 
 
+def test_encode_names_the_shape_of_a_wrong_message():
+    """A (1, k) message has k entries, but it is not a length-k vector:
+    the refusal says its shape, not only its length."""
+    sh, gens, gs = fixture_gs()
+    gm = generator_matrix(gs)
+    with pytest.raises(ValueError, match=r"^message of shape \(1, 2\) does not match "
+                                         r"\(k,\) = \(2,\)$"):
+        encode(gm, [[1, 0]])
+    with pytest.raises(ValueError, match=r"^message of shape \(3,\) does not match"):
+        encode(gm, [1, 0, 0])
+
+
 def test_encode_output_is_member():
     rng = random.Random(101)
     for _ in range(10):

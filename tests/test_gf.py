@@ -4,8 +4,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_mul, gf_rem
 
 from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, CyclicPoly, Field, GeneratorMatrix,
-                      Poly, RingShape, default_modulus, encode, field_descriptor,
-                      field_from_descriptor, reduced_span)
+                      Poly, RingShape, code_params, default_modulus, encode,
+                      extract_generators, field_descriptor, field_from_descriptor,
+                      generator_matrix, min_distance, reduced_span)
 from tdcyclic.gf import _is_prime
 
 
@@ -109,8 +110,11 @@ def test_library_values_must_be_integers(gate, value, read):
             assert _VALUE_GATES[gate](F, value) == read % F.q
 
 
-# the entry points that read field parameters, coordinates and ring sizes,
-# each returning the value it read for v, which stands for 2
+# <1 + y> in the 1 x 2 binary ring: q^k = 2 and d = 2
+_REPETITION = extract_generators(RingShape(GF(2), 1, 2), [BiPoly(RingShape(GF(2), 1, 2), [[1, 1]])])
+
+# the entry points that read field parameters, coordinates, ring sizes and
+# distance caps, each returning the value it read for v, which stands for 2
 _PARAMETER_GATES = {
     "GF p": lambda v: GF(v).p,
     "GF m": lambda v: GF(2, v).m,
@@ -125,6 +129,8 @@ _PARAMETER_GATES = {
     "from_coords": lambda v: GF(3, 2).from_coords([v, 0]),
     "RingShape s": lambda v: RingShape(GF(2), v, 1).s,
     "RingShape ell": lambda v: RingShape(GF(2), 1, v).ell,
+    "min_distance cap": lambda v: min_distance(generator_matrix(_REPETITION), cap=v),
+    "code_params cap": lambda v: code_params(_REPETITION, with_distance=True, cap=v).d,
 }
 
 
@@ -134,10 +140,12 @@ _PARAMETER_GATES = {
     (2.0, False), (2.5, False), (np.float64(2.0), False), ("2", False), (None, False),
 ])
 def test_library_parameters_must_be_integers(gate, value, ok):
-    """Field parameters, modulus entries, coordinates and the ring's s and
-    ell follow make's rule: an integer, kept as a Python int, or else
-    ValueError, instead of a float read as the integer it truncates to
-    (GF(5.0) had q == 5.0, and GF(2, 2, modulus=[1.7, 1, 1]) was GF(4))."""
+    """Field parameters, modulus entries, coordinates, the ring's s and
+    ell and the distance search's cap follow make's rule: an integer, kept
+    as a Python int, or else ValueError, instead of a float read as the
+    integer it truncates to (GF(5.0) had q == 5.0, and
+    GF(2, 2, modulus=[1.7, 1, 1]) was GF(4)) or compared as a float
+    (code_params(gs, with_distance=True, cap=1e9) ran)."""
     if ok:
         got = _PARAMETER_GATES[gate](value)
         assert got == 2 and type(got) is int

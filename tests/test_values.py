@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from tdcyclic import (GF, BiPoly, CyclicPoly, Field, Poly, RingShape, cofactor, decompose,
-                      extract_generators)
+                      extract_generators, generator_matrix, span_basis)
 
 F4 = GF(2, 2)
 SHAPE = RingShape(F4, 3, 3)
@@ -69,6 +69,18 @@ def test_arrays_stay_read_only_through_copy_and_pickle(trip):
     assert not ROUND_TRIPS[trip](_values()["BiPoly"]).arr.flags.writeable
     out = ROUND_TRIPS[trip](F4)
     assert not out._exp_np.flags.writeable and not out._log_np.flags.writeable
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_basis_and_matrix_stay_read_only_through_copy_and_pickle(trip):
+    basis = span_basis(SHAPE, [G])
+    out = ROUND_TRIPS[trip](basis)
+    assert out.shape == basis.shape and out.pivots == basis.pivots
+    assert out.matrix.tolist() == basis.matrix.tolist() and not out.matrix.flags.writeable
+    gm = generator_matrix(extract_generators(SHAPE, [G]))
+    out = ROUND_TRIPS[trip](gm)
+    assert out.shape == gm.shape and out.labels == gm.labels
+    assert out.rows.tolist() == gm.rows.tolist() and not out.rows.flags.writeable
 
 
 @pytest.mark.parametrize("kind", FIELDS)
