@@ -271,24 +271,13 @@ def _orbit_leaders(shape: RingShape):
         yield from cands[least == t]
 
 
-def _distinct_draws(shape: RingShape, count: int, seed: int):
-    """The random candidates in draw order, each the first time it is drawn."""
-    rng = random.Random(seed)
-    seen = set()
-    for _ in range(count):
-        draw = tuple(tuple(rng.randrange(shape.field.q) for _ in range(shape.ell))
-                     for _ in range(shape.s))
-        if draw not in seen:
-            seen.add(draw)
-            yield draw
-
-
 def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
     import hashlib  # here, not at the top: the other subcommands need not load OpenSSL
 
     shape = problem.shape
+    q = shape.field.q
     if args.mode == "exhaustive":
-        total = shape.field.q**shape.n
+        total = q**shape.n
         if total > MAX_EXHAUSTIVE_CANDIDATES:
             raise TooLargeError(
                 f"q^(s*ell) = {total} candidates exceeds exhaustive bound "
@@ -298,7 +287,9 @@ def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
         if args.count > MAX_EXHAUSTIVE_CANDIDATES:
             raise TooLargeError(
                 f"count {args.count} exceeds the candidate bound {MAX_EXHAUSTIVE_CANDIDATES}")
-        candidates = _distinct_draws(shape, args.count, args.seed)
+        rng = random.Random(args.seed)
+        candidates = ([[rng.randrange(q) for _ in range(shape.ell)]
+                       for _ in range(shape.s)] for _ in range(args.count))
 
     # a skipped candidate generates the ideal of an earlier one, whose row is already out
     lines = ["n,k,d,hash"]

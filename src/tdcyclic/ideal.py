@@ -95,7 +95,10 @@ class EchelonBasis:
     pivots: tuple[int, ...]
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)  # the basis takes the array over, no copy
+        # a read-only copy of its own: the caller's array, or the base of a view, stays writable
+        matrix = np.array(self.matrix, dtype=np.int64)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, so matrix is read-only again
@@ -224,8 +227,8 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
         # the step is a fresh array, which _rref eliminates in place
         mat, pivots = _rref(np.concatenate(
             [mat, np.stack(arrs[t:t + step])[:, src_i, src_j].reshape(-1, n)]), fld, cols)
-    # the basis rows alone, not a view of the whole last step
-    return EchelonBasis(shape, mat.copy(), pivots)
+    # the basis copies the rows alone, not the whole last step that mat views
+    return EchelonBasis(shape, mat, pivots)
 
 
 def layer_generator(basis: EchelonBasis, j: int) -> LayerInfo:

@@ -262,21 +262,16 @@ def _orbit_count(shape):
     (3, 1, 2, 2, "exhaustive", 0), (2, 2, 1, 3, "exhaustive", 0),
     (2, 1, 3, 3, "exhaustive", 0), (2, 2, 2, 2, "exhaustive", 0), (3, 1, 1, 4, "exhaustive", 0),
     (2, 1, 2, 2, "random", 60), (3, 1, 1, 3, "random", 80), (2, 2, 2, 2, "random", 40),
-    (2, 1, 2, 2, "random", 400),
 ])
 def test_enumerate_matches_candidate_loop(tmp_path, capsys, monkeypatch, p, m, s, ell,
                                           mode, count):
-    """enumerate runs the engine once per orbit of c x^a y^b (exhaustive)
-    or once per distinct draw (random), and skips a repeated ideal before
-    reading its generating set: same CSV as extracting every candidate,
-    and one generating set read per row.  The random cases draw far more
-    candidates than there are ideals, so most of them repeat."""
+    """enumerate runs the engine once per orbit of c x^a y^b in exhaustive
+    mode, and skips a repeated ideal before reading its generating set:
+    same CSV as extracting every candidate, and one generating set read
+    per row.  The random cases draw far more candidates than there are
+    ideals, so most of them repeat."""
     shape = RingShape(GF(p, m), s, ell)
     want = _enumerate_by_candidate(shape, mode, count, seed=3)
-    if mode == "exhaustive":
-        runs = _orbit_count(shape)
-    else:
-        runs = len({json.dumps(arr) for arr in _candidates(shape, mode, count, seed=3)})
     spans, reads = [], []
     span, read = ideal.span_basis, ideal.generator_set_from_basis
     monkeypatch.setattr(ideal, "span_basis", lambda *a: spans.append(1) or span(*a))
@@ -286,25 +281,23 @@ def test_enumerate_matches_candidate_loop(tmp_path, capsys, monkeypatch, p, m, s
     code, out, _ = run(capsys, ["enumerate", "--input", write_problem(tmp_path, doc),
                                 "--mode", mode, "--count", str(count), "--seed", "3"])
     assert code == 0 and out == want
-    assert len(spans) == runs
+    if mode == "exhaustive":
+        assert len(spans) == _orbit_count(shape)
     assert len(reads) == len(out.splitlines()) - 1
 
 
-def test_enumerate_at_the_candidate_bound_runs_once_per_orbit(tmp_path):
+def test_enumerate_at_the_candidate_bound_runs_once_per_orbit(tmp_path, capsys, monkeypatch):
     """GF(2^16) 1 x 1 has 2^16 candidates, the exhaustive bound, in two
-    orbits: 0 and the nonzero scalars.  A child process prints the CSV
-    that one engine run per candidate printed, after two engine runs."""
+    orbits: 0 and the nonzero scalars.  enumerate prints the CSV that one
+    engine run per candidate printed, after two engine runs."""
+    spans = []
+    span = ideal.span_basis
+    monkeypatch.setattr(ideal, "span_basis", lambda *a: spans.append(1) or span(*a))
     doc = {"field": {"p": 2, "m": 16}, "s": 1, "ell": 1}
-    counted = ("import sys; from tdcyclic import cli, ideal; runs = []; span = ideal.span_basis; "
-               "ideal.span_basis = lambda *a: runs.append(1) or span(*a); "
-               "code = cli.main(sys.argv[1:]); print(len(runs), file=sys.stderr); sys.exit(code)")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", counted, "enumerate", "--input", write_problem(tmp_path, doc)],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert proc.stdout == "n,k,d,hash\n1,0,,216f83dd00db9eef\n1,1,1,2af18cceb1bf63b0\n"
-    assert proc.stderr == "2\n"
+    code, out, _ = run(capsys, ["enumerate", "--input", write_problem(tmp_path, doc)])
+    assert code == 0
+    assert out == "n,k,d,hash\n1,0,,216f83dd00db9eef\n1,1,1,2af18cceb1bf63b0\n"
+    assert len(spans) == 2
 
 
 def test_distance_at_the_default_cap(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,11 @@ copying, and they compare and hash by value."""
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
-from tdcyclic import (GF, BiPoly, CyclicPoly, Field, Poly, RingShape, cofactor, decompose,
-                      extract_generators, generator_matrix, span_basis)
+from tdcyclic import (GF, BiPoly, CyclicPoly, EchelonBasis, Field, Poly, RingShape, cofactor,
+                      decompose, extract_generators, generator_matrix, span_basis)
 
 F4 = GF(2, 2)
 SHAPE = RingShape(F4, 3, 3)
@@ -81,6 +82,23 @@ def test_basis_and_matrix_stay_read_only_through_copy_and_pickle(trip):
     out = ROUND_TRIPS[trip](gm)
     assert out.shape == gm.shape and out.labels == gm.labels
     assert out.rows.tolist() == gm.rows.tolist() and not out.rows.flags.writeable
+
+
+def test_basis_keeps_a_read_only_copy_of_its_own():
+    """A hand-built basis copies what it is given: the caller's array, or
+    the base of a view, stays writable and cannot change the basis, and a
+    nested list works."""
+    rows = [[1, 1, 0, 0], [0, 0, 1, 0]]
+    shape = RingShape(GF(2), 2, 2)
+    big = np.array(rows + [[0, 0, 0, 1]])
+    for given in (big[:2], np.array(rows), rows):
+        basis = EchelonBasis(shape, given, (1, 2))
+        assert basis.matrix.tolist() == rows and not basis.matrix.flags.writeable
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+            given[0, 0] = 0
+            assert basis.matrix.tolist() == rows
+    assert big.flags.writeable
 
 
 @pytest.mark.parametrize("kind", FIELDS)
