@@ -297,10 +297,9 @@ def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
     for arr in candidates:
         basis = ideal.span_basis(shape, [BiPoly(shape, arr)])
         # the reduced echelon basis is unique for the span: two orbits can give one ideal
-        key = basis.matrix.tobytes()
-        if key in seen:
+        if basis in seen:
             continue
-        seen.add(key)
+        seen.add(basis)
         gs = ideal.generator_set_from_basis(basis)
         doc = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(doc.encode()).hexdigest()[:16]

@@ -38,33 +38,25 @@ import numpy as np
 from .errors import TooLargeError
 from .gf import _integer
 from .ideal import GeneratorSet, _rref
-from .ring2d import _GATHER_ELEMS, RingShape, shift_source
+from .ring2d import _GATHER_ELEMS, RingShape, _Value, shift_source
 
 DEFAULT_CAP = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorMatrix:
+class GeneratorMatrix(_Value):
     """k x (s*ell) matrix over the field in codeword (row-major) order,
-    with a (layer, x-shift) label per row.  The rows must have shape
-    (len(labels), n); their entries go through Field.make_array, which
-    refuses a non-integer, into a read-only copy taken mod q."""
+    with a (layer, x-shift) label per row.  A frozen value (``_Value``):
+    ``labels`` is a tuple of tuples, so k cannot drift from the rows, and
+    ``rows`` a read-only (len(labels), n) array."""
 
     shape: RingShape
     rows: np.ndarray
     labels: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows = self.shape.field.make_array(self.rows)
-        if rows.shape != (len(self.labels), self.shape.n):
-            raise ValueError(f"rows of shape {rows.shape} do not match "
-                             f"(len(labels), n) = ({len(self.labels)}, {self.shape.n})")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    def __reduce__(self):
-        # copies and pickles rebuild through the constructor, so rows is read-only again
-        return GeneratorMatrix, (self.shape, self.rows, self.labels)
+        object.__setattr__(self, "labels", tuple(map(tuple, self.labels)))
+        self._freeze("rows", (len(self.labels), self.shape.n))
 
     @property
     def k(self) -> int:

@@ -12,12 +12,12 @@ element, with no table to build or look up.  Every extension field
 (m > 1) uses one path whatever its size.  Construction finds a primitive
 element g and tabulates exp[i] = g^i and its inverse log, so products,
 scalings, inverses and negation (-1 = g^((q-1)/2)) are gathers such as
-exp[log a + log b], for scalars and arrays alike.  log[0] points into a
-zero-filled tail of exp, so a zero factor needs no branch.  Addition is
-XOR for p = 2 and otherwise one pass over the base-p digits, one digit
-at a time.  The tables hold about 5q entries, against q^2 for full
-addition and multiplication tables.  They are read-only: a ``Field`` is a
-frozen dataclass that compares and hashes by (p, m, modulus).
+exp[log a + log b], for arrays and, by ``item``, for scalars.  log[0]
+points into a zero-filled tail of exp, so a zero factor needs no branch.
+Addition is XOR for p = 2 and otherwise one pass over the base-p digits,
+one digit at a time.  The tables, one read-only array each, hold about 5q
+entries, against q^2 for full addition and multiplication tables.  A
+``Field`` is a frozen dataclass that compares and hashes by (p, m, modulus).
 
 ``Field.dot`` is the one kernel for linear combinations of rows, c @ rows
 for one coefficient vector or a batch of them.  Prime fields take one
@@ -134,8 +134,6 @@ class Field:
     m: int
     q: int = field(compare=False)
     modulus: tuple[int, ...] | None
-    _exp: list[int] | None = field(compare=False)
-    _log: list[int] | None = field(compare=False)
     _exp_np: np.ndarray | None = field(compare=False)
     _log_np: np.ndarray | None = field(compare=False)
 
@@ -166,8 +164,8 @@ class Field:
                 raise ValueError(f"modulus {mod} is reducible over GF({p})")
         for name, value in zip(("p", "m", "q", "modulus"), (p, m, p**m, mod)):
             object.__setattr__(self, name, value)
-        tables = self._build_exp_log() if m > 1 else (None,) * 4
-        for name, value in zip(("_exp_np", "_log_np", "_exp", "_log"), tables):
+        tables = self._build_exp_log() if m > 1 else (None,) * 2
+        for name, value in zip(("_exp_np", "_log_np"), tables):
             object.__setattr__(self, name, value)
 
     # -- construction helpers ---------------------------------------------
@@ -194,7 +192,7 @@ class Field:
         return out
 
     def _build_exp_log(self) -> tuple:
-        """Read-only exp/log arrays of a primitive element g, and their lists.
+        """Read-only exp/log arrays of a primitive element g.
 
         g is the first encoding with g^(n/r) != 1 for every prime r | n,
         n = q - 1.  The search starts at p: an encoding below p lies in the
@@ -219,8 +217,7 @@ class Field:
         log[0] = 2 * n
         exp.setflags(write=False)
         log.setflags(write=False)
-        # Python lists for scalar ops: faster lookups, and plain ints out
-        return exp, log, exp.tolist(), log.tolist()
+        return exp, log
 
     # -- scalar operations --------------------------------------------------
 
@@ -262,7 +259,7 @@ class Field:
         if self.p == 2:
             return a
         # -1 = g^((q-1)/2): negation shifts the log by half a period
-        return self._exp[self._log[a] + (self.q - 1) // 2]
+        return self._exp_np.item(self._log_np.item(a) + (self.q - 1) // 2)
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -272,7 +269,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp_np.item(self._log_np.item(a) + self._log_np.item(b))
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
@@ -280,7 +277,7 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.m == 1:
             return pow(a, -1, self.p)
-        return self._exp[self.q - 1 - self._log[a]]
+        return self._exp_np.item(self.q - 1 - self._log_np.item(a))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

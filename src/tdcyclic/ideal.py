@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
 from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
-from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, shift_source, shift_sum
+from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, _Value, shift_source, shift_sum
 
 # rows * columns * rank bounding the work of span_basis's elimination of
 # (nonzero generators * n) shift rows by n columns: two generators at 32 x 32
@@ -80,7 +80,7 @@ def _rref(a: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
 # -- types -------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class EchelonBasis:
+class EchelonBasis(_Value):
     """Reduced row-echelon F-basis of an ideal: one matrix whose rows are
     INTERNAL vectorizations.
 
@@ -88,6 +88,8 @@ class EchelonBasis:
     the elimination found them: y-blocks ascending, x-degrees descending
     within a block.  Pivot entries are 1 and every other row is 0 in a
     pivot's column; the span is closed under both shifts by construction.
+    A frozen value (``_Value``): ``pivots`` is a tuple and ``matrix`` a
+    read-only (len(pivots), n) array, unique for the span.
     """
 
     shape: RingShape
@@ -95,14 +97,8 @@ class EchelonBasis:
     pivots: tuple[int, ...]
 
     def __post_init__(self):
-        # a read-only copy of its own: the caller's array, or the base of a view, stays writable
-        matrix = np.array(self.matrix, dtype=np.int64)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __reduce__(self):
-        # copies and pickles rebuild through the constructor, so matrix is read-only again
-        return EchelonBasis, (self.shape, self.matrix, self.pivots)
+        object.__setattr__(self, "pivots", tuple(self.pivots))
+        self._freeze("matrix", (len(self.pivots), self.shape.n))
 
     @property
     def rows(self) -> tuple[BiPoly, ...]:
@@ -143,7 +139,7 @@ class LayerInfo:
         return self.gen.is_zero
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeneratorSet:
     """Canonical triangular generating set of an ideal.
 
@@ -151,7 +147,7 @@ class GeneratorSet:
     coordinate; every coordinate is exactly divisible by the base (layer 0)
     generator and ``quotients[j][i - j]`` stores that quotient for the y^i
     coordinate.  Hermite reduction makes the whole structure unique for
-    the ideal, so equal spans give byte-identical serializations.
+    the ideal, so equal spans give equal sets and byte-identical serializations.
     ``layers``, ``gens`` and ``quotients`` have one entry per layer, and
     every generating polynomial has the set's shape; construction checks
     both.  A zero layer stores no quotients, and its generating polynomial
@@ -184,7 +180,7 @@ class GeneratorSet:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Decomposition:
     """Coefficients q_j with f = sum gens[j] * q_j, plus the intermediate
     peel-off stages when a trace was requested."""

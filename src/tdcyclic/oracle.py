@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BoundsError, TooLargeError
 from .polyring import Poly, divides_xs_minus_one, xs_minus_one
-from .ring2d import BiPoly, RingShape
+from .ring2d import BiPoly, RingShape, _Value
 
 MAX_ORACLE_LENGTH = 64
 MAX_SPAN_ENUMERATION = 1 << 20
@@ -162,15 +162,19 @@ def _raw_vectors(fld, n: int, vectors, shape: RingShape | None = None) -> np.nda
 
 
 @dataclass(frozen=True, eq=False)
-class ClosureBasis:
+class ClosureBasis(_Value):
     """Echelonized basis (codeword order) of a shift-closed span.  ``contains``
     and ``contains_elem`` are one check of an element of the ring's shape or a
     raw vector of s*ell integer entries, taken mod q; anything else raises
-    ValueError."""
+    ValueError.  A frozen value (``_Value``): ``vectors``, the reduced rows of
+    ``_reducer`` and unique for the span, are a read-only (dimension, n) array."""
 
     shape: RingShape
     vectors: np.ndarray
-    _reducer: _Reducer = dc_field(repr=False)
+    _reducer: _Reducer = dc_field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self._freeze("vectors", (self._reducer.dimension, self.shape.n))
 
     @property
     def dimension(self) -> int:

@@ -30,7 +30,7 @@ Two flattening orders exist and must never be conflated:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,36 @@ def shift_sum(shape: RingShape, b: np.ndarray, coeffs, i, j=None) -> np.ndarray:
     return out.reshape(shape.s, shape.ell)
 
 
+class _Value:
+    """Value rule of a frozen dataclass (eq=False) holding arrays.  ``_freeze``
+    gates an array field through Field.make_array into a read-only int64 copy
+    of the given shape.  Equality and hashing read the compare=True fields, an
+    array by its bytes (the other fields fix its shape); copies and pickles
+    rebuild through the constructor, so their arrays pass the gate again."""
+
+    __slots__ = ()
+
+    def _freeze(self, name: str, shape: tuple[int, ...]) -> None:
+        a = self.shape.field.make_array(getattr(self, name))
+        if a.shape != shape:
+            raise ValueError(f"{name} of shape {a.shape} does not match {shape}")
+        a.setflags(write=False)
+        object.__setattr__(self, name, a)
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
 class RingShape:
     """Parameters of the bivariate cyclic ring: field, s rows, ell columns.
@@ -89,24 +119,18 @@ class RingShape:
         return self.s * self.ell
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
-class BiPoly:
-    """Element of the bivariate cyclic ring / s x ell codeword array.  The
-    array's entries go through Field.make_array: integers are taken mod q,
-    and anything else raises ValueError.  A BiPoly is frozen: its fields
-    cannot be assigned or deleted, and ``arr`` is a read-only array."""
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class BiPoly(_Value):
+    """Element of the bivariate cyclic ring / s x ell codeword array.  A
+    frozen value (``_Value``): ``arr`` is a read-only (s, ell) array of
+    integers taken mod q (anything else raises ValueError), and fields
+    cannot be assigned or deleted."""
 
     shape: RingShape
     arr: np.ndarray
 
-    def __init__(self, shape: RingShape, array):
-        a = shape.field.make_array(array)
-        if a.shape != (shape.s, shape.ell):
-            raise ValueError(
-                f"array shape {a.shape} does not match (s, ell) = ({shape.s}, {shape.ell})")
-        a.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "arr", a)
+    def __post_init__(self):
+        self._freeze("arr", (self.shape.s, self.shape.ell))
 
     @classmethod
     def _wrap(cls, shape: RingShape, arr: np.ndarray) -> "BiPoly":
@@ -235,18 +259,6 @@ class BiPoly:
 
     def __bool__(self):
         return bool(self.arr.any())
-
-    def __eq__(self, other):
-        return (isinstance(other, BiPoly)
-                and self.shape == other.shape
-                and np.array_equal(self.arr, other.arr))
-
-    def __hash__(self):
-        return hash((self.shape, self.arr.tobytes()))
-
-    def __reduce__(self):
-        # copies and pickles rebuild through the constructor, so arr is read-only again
-        return BiPoly, (self.shape, self.arr)
 
     def __repr__(self):
         return f"BiPoly({self.arr.tolist()})"

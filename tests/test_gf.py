@@ -3,8 +3,8 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_mul, gf_rem
 
-from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, CyclicPoly, Field, GeneratorMatrix,
-                      Poly, RingShape, code_params, default_modulus, encode,
+from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, CyclicPoly, EchelonBasis, Field,
+                      GeneratorMatrix, Poly, RingShape, code_params, default_modulus, encode,
                       extract_generators, field_descriptor, field_from_descriptor,
                       generator_matrix, min_distance, reduced_span)
 from tdcyclic.gf import _is_prime
@@ -83,6 +83,7 @@ _VALUE_GATES = {
                                                           CODEWORD).arr[0, 0],
     "GeneratorMatrix": lambda F, v: GeneratorMatrix(RingShape(F, 2, 1), [[v, 1]],
                                                     ((0, 0),)).rows[0, 0],
+    "EchelonBasis": lambda F, v: EchelonBasis(RingShape(F, 1, 2), [[v, 1]], (0,)).matrix[0, 0],
     "encode": lambda F, v: encode(GeneratorMatrix(RingShape(F, 2, 1), [[1, 1]], ((0, 0),)),
                                   [v])[0],
     "oracle._raw_vectors": lambda F, v: reduced_span(F, 2, [[1, v]])[0, 1],

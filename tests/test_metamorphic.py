@@ -6,13 +6,17 @@ so none depends on how the engine computes:
 * (a) transposition x <-> y, s <-> ell, keeps n, k and d;
 * (b) Frobenius c -> c^p on every coefficient maps the canonical
   generating set of I to that of its image, byte for byte, because it
-  fixes 1, x, y and degrees and commutes with division.
+  fixes 1, x, y and degrees and commutes with division;
+* (c) a unit multiplier x -> x^u, gcd(u, s) = 1, with y -> y^v,
+  gcd(v, ell) = 1, keeps k and d, and maps I's canonical generators and
+  the input generators to two presentations of one ideal.
 
 They are not a proof: a fault symmetric in x and y, or one that commutes
-with Frobenius, passes both.
+with Frobenius, passes (a) and (b).
 """
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -95,3 +99,28 @@ def test_frobenius_maps_the_canonical_set_byte_for_byte(problem):
     image = extract_generators(sh, [BiPoly(sh, np.array(frob)[g.arr]) for g in gens])
     expected = _frobenius(extract_generators(sh, gens).to_json_dict(), frob)
     assert json.dumps(image.to_json_dict()) == json.dumps(expected)
+
+
+def _unit_image(sh: RingShape, g: BiPoly, u: int, v: int) -> BiPoly:
+    """g(x^u, y^v): cell (i, j) moves to (u i mod s, v j mod ell)."""
+    out = np.empty_like(g.arr)
+    out[np.ix_(u * np.arange(sh.s) % sh.s, v * np.arange(sh.ell) % sh.ell)] = g.arr
+    return BiPoly(sh, out)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_large_ideals(fields=(GF(2), GF(3), GF(2, 2))), st.data())
+def test_unit_multipliers_keep_k_and_d(problem, data):
+    sh, gens = problem
+    # s and ell are at least 4, so u has a choice other than 1
+    u = data.draw(st.sampled_from([u for u in range(2, sh.s) if math.gcd(u, sh.s) == 1]))
+    v = data.draw(st.sampled_from([v for v in range(1, sh.ell) if math.gcd(v, sh.ell) == 1]))
+    gs = extract_generators(sh, gens)
+    basis = span_basis(sh, [_unit_image(sh, g, u, v) for g in gens])
+    gs_u = generator_set_from_basis(basis)
+    k = dimension(gs)
+    assert dimension(gs_u) == k
+    # the images of I's canonical generators span the image of I: the same basis, by value
+    assert span_basis(sh, [_unit_image(sh, g, u, v) for g in gs.gens]) == basis
+    if 0 < k and sh.field.q ** k <= 1 << 14:
+        assert min_distance(generator_matrix(gs_u)) == min_distance(generator_matrix(gs))

@@ -1,15 +1,22 @@
 """The ring's value types are frozen: Field, Poly, CyclicPoly and BiPoly,
-and the results built from them, can be neither changed nor broken by
-copying, and they compare and hash by value."""
+and the results built from them (GeneratorSet, EchelonBasis,
+GeneratorMatrix, Decomposition and ClosureBasis), can be neither changed
+nor broken by copying, and they compare and hash by value.  Every array a
+value holds is read-only and passed one gate where it came in; Field keeps
+each exp/log table once, as a read-only array that its scalar operations
+read too."""
 
 import copy
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdcyclic import (GF, BiPoly, CyclicPoly, EchelonBasis, Field, Poly, RingShape, cofactor,
-                      decompose, extract_generators, generator_matrix, span_basis)
+from tdcyclic import (GF, BiPoly, CyclicPoly, EchelonBasis, Field, GeneratorMatrix, Poly,
+                      RingShape, bruteforce_ideal, cofactor, decompose, extract_generators,
+                      generator_matrix, generator_set_from_basis, span_basis)
 
 F4 = GF(2, 2)
 SHAPE = RingShape(F4, 3, 3)
@@ -33,7 +40,7 @@ def _values():
 
 # every field of each class
 FIELDS = {
-    "Field": ("p", "m", "q", "modulus", "_exp", "_log", "_exp_np", "_log_np"),
+    "Field": ("p", "m", "q", "modulus", "_exp_np", "_log_np"),
     "Poly": ("field", "coeffs"),
     "CyclicPoly": ("field", "coeffs"),
     "BiPoly": ("shape", "arr"),
@@ -43,7 +50,10 @@ FIELDS = {
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
 def test_generator_set_survives_copy_and_pickle(trip):
     gs = extract_generators(SHAPE, [G])
-    assert ROUND_TRIPS[trip](gs).to_json_dict() == gs.to_json_dict()
+    out = ROUND_TRIPS[trip](gs)
+    assert out.to_json_dict() == gs.to_json_dict()
+    assert out == gs and hash(out) == hash(gs)
+    assert all(not g.arr.flags.writeable for g in out.gens)
 
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
@@ -54,6 +64,8 @@ def test_decomposition_survives_copy_and_pickle(trip):
     out = ROUND_TRIPS[trip](dec)
     assert out.coeffs == dec.coeffs
     assert [h.arr.tolist() for h in out.trace] == [h.arr.tolist() for h in dec.trace]
+    assert out == dec and hash(out) == hash(dec)
+    assert all(not h.arr.flags.writeable for h in out.trace)
 
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
@@ -78,10 +90,17 @@ def test_basis_and_matrix_stay_read_only_through_copy_and_pickle(trip):
     out = ROUND_TRIPS[trip](basis)
     assert out.shape == basis.shape and out.pivots == basis.pivots
     assert out.matrix.tolist() == basis.matrix.tolist() and not out.matrix.flags.writeable
+    assert out == basis and hash(out) == hash(basis)
     gm = generator_matrix(extract_generators(SHAPE, [G]))
     out = ROUND_TRIPS[trip](gm)
     assert out.shape == gm.shape and out.labels == gm.labels
     assert out.rows.tolist() == gm.rows.tolist() and not out.rows.flags.writeable
+    assert out == gm and hash(out) == hash(gm)
+    closure = bruteforce_ideal(SHAPE, [G])
+    out = ROUND_TRIPS[trip](closure)
+    assert out.vectors.tolist() == closure.vectors.tolist() and not out.vectors.flags.writeable
+    assert out == closure and hash(out) == hash(closure)
+    assert out.contains(G) and out.dimension == closure.dimension
 
 
 def test_basis_keeps_a_read_only_copy_of_its_own():
@@ -99,6 +118,74 @@ def test_basis_keeps_a_read_only_copy_of_its_own():
             given[0, 0] = 0
             assert basis.matrix.tolist() == rows
     assert big.flags.writeable
+
+
+def test_basis_refuses_a_matrix_of_another_shape():
+    """The matrix must have shape (len(pivots), n); float, string and None
+    entries are refused in the value-gate table of test_gf.py."""
+    shape = RingShape(GF(2), 2, 2)
+    for matrix, pivots in (([[1, 0, 1]], (0,)), ([[1, 0, 1, 0]], (0, 2)), ([1, 0, 1, 0], (0,))):
+        with pytest.raises(ValueError, match="^matrix of shape"):
+            EchelonBasis(shape, matrix, pivots)
+
+
+def test_closure_vectors_are_read_only():
+    closure = bruteforce_ideal(SHAPE, [G])
+    with pytest.raises(ValueError):
+        closure.vectors[0] = 0
+    assert closure.vectors.any()
+
+
+def test_labels_and_pivots_are_tuples():
+    """Lists given for labels or pivots are kept as tuples, so appending to
+    the caller's list changes neither k nor the pivots."""
+    shape = RingShape(GF(2), 2, 2)
+    labels, pivots = [[0, 0]], [0]
+    gm = GeneratorMatrix(shape, [[1, 0, 1, 0]], labels)
+    basis = EchelonBasis(shape, [[1, 0, 1, 0]], pivots)
+    labels.append([0, 1])
+    pivots.append(1)
+    assert gm.k == 1 and gm.labels == ((0, 0),) and basis.pivots == (0,)
+    assert gm == GeneratorMatrix(shape, [[1, 0, 1, 0]], ((0, 0),))
+    assert hash(gm) == hash(GeneratorMatrix(shape, [[1, 0, 1, 0]], ((0, 0),)))
+
+
+@st.composite
+def _presentations(draw):
+    """An ideal of at most 64 cells over GF(2), GF(3) or GF(4), given twice:
+    by 1-2 generators, and by the same generators shifted and scaled plus
+    one member of the ideal; and one more element h."""
+    F = draw(st.sampled_from((GF(2), GF(3), GF(2, 2))))
+    s = draw(st.integers(1, 8))
+    ell = draw(st.integers(1, 64 // s))
+    sh = RingShape(F, s, ell)
+    row = st.lists(st.integers(0, F.q - 1), min_size=ell, max_size=ell)
+    elem = st.lists(row, min_size=s, max_size=s).map(lambda a: BiPoly(sh, a))
+    gens = draw(st.lists(elem, min_size=1, max_size=2))
+    moved = [g.shift_x(draw(st.integers(0, s - 1))).shift_y(draw(st.integers(0, ell - 1)))
+             .scale(draw(st.integers(1, F.q - 1))) for g in gens]
+    member = sum((g * draw(elem) for g in gens), BiPoly.zero(sh))
+    return sh, gens, moved + [member], draw(elem)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_presentations())
+def test_one_ideal_gives_equal_values_and_another_unequal_ones(problem):
+    """Two presentations of one ideal give equal, hash-equal results; adding
+    h gives equal ones exactly when the oracle finds h in the ideal."""
+    sh, gens, moved, h = problem
+
+    def results(generators):
+        basis = span_basis(sh, generators)
+        gs = generator_set_from_basis(basis)
+        return gs, basis, generator_matrix(gs), bruteforce_ideal(sh, generators)
+
+    first = results(gens)
+    for a, b in zip(first, results(moved)):
+        assert a == b and hash(a) == hash(b)
+    inside = first[3].contains(h)
+    for a, b in zip(first, results(gens + [h])):
+        assert (a == b) is inside
 
 
 @pytest.mark.parametrize("kind", FIELDS)
