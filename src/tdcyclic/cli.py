@@ -38,7 +38,7 @@ import numpy as np
 from . import codegen, ideal, oracle
 from .errors import BoundsError, NotMember, TooLargeError
 from .gf import field_from_descriptor
-from .ring2d import _GATHER_ELEMS, BiPoly, RingShape, shift_source
+from .ring2d import _GATHER_ELEMS, BiPoly, RingShape, shift_images
 
 # candidates enumerate may try: q^(s*ell) in exhaustive mode, count in random mode
 MAX_EXHAUSTIVE_CANDIDATES = 1 << 16
@@ -257,14 +257,12 @@ def _orbit_leaders(shape: RingShape):
     q, total = fld.q, fld.q**n
     inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.int64)
     weights = q ** np.arange(n)
-    # index axes (a, b, i, j) put cell (i, j) of x^a y^b g in image a*ell + b at digit i*ell + j
-    src_i = shift_source(s, np.arange(s))[:, None, :, None]
-    src_j = shift_source(ell, np.arange(ell))[None, :, None, :]
+    a, b = np.divmod(np.arange(n), ell)
     step = max(1, _GATHER_ELEMS // (n * n))
     for t0 in range(0, total, step):
         t = np.arange(t0, min(t0 + step, total))
         cands = (t[:, None] // weights % q).reshape(-1, s, ell)
-        images = cands[:, src_i, src_j].reshape(-1, n, n)
+        images = shift_images(cands, a, b).reshape(-1, n, n)
         top = n - 1 - np.argmax(images[:, :, ::-1] != 0, axis=2)  # n - 1 for the zero image
         lead = np.take_along_axis(images, top[:, :, None], axis=2)
         least = (fld.mul_arrays(inv[lead], images) @ weights).min(axis=1)

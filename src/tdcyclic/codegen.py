@@ -38,7 +38,7 @@ import numpy as np
 from .errors import TooLargeError
 from .gf import _integer
 from .ideal import GeneratorSet, _rref
-from .ring2d import _GATHER_ELEMS, RingShape, _Value, shift_source
+from .ring2d import _GATHER_ELEMS, RingShape, _Value, shift_images
 
 DEFAULT_CAP = 1 << 20
 
@@ -89,14 +89,13 @@ def dimension(gs: GeneratorSet) -> int:
 def generator_matrix(gs: GeneratorSet) -> GeneratorMatrix:
     """Rows x^a * gens[j], layer-major then shift, codeword flattening."""
     shape = gs.shape
-    s = shape.s
     labels = tuple((L.index, a) for L in gs.layers if not L.is_zero
-                   for a in range(s - L.deg))
+                   for a in range(shape.s - L.deg))
     layer, shift = np.array(labels, dtype=np.intp).reshape(-1, 2).T
-    arrs = np.stack([g.arr for g in gs.gens])
-    # row (j, a) is x^a * gens[j]
-    mat = arrs[layer[:, None], shift_source(s, shift)].reshape(-1, shape.n)
-    return GeneratorMatrix(shape, mat, labels)
+    # row (j, a) is x^a * gens[j], image (j, a) of one gather of at most n^2 entries
+    a = np.arange(shift.max(initial=-1) + 1)
+    images = shift_images(np.stack([g.arr for g in gs.gens]), a, 0 * a)
+    return GeneratorMatrix(shape, images[layer, shift].reshape(-1, shape.n), labels)
 
 
 def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
@@ -118,13 +117,10 @@ def _shift_closed(shape: RingShape, gamma: np.ndarray, pivots) -> bool:
     the _GATHER_ELEMS budget."""
     fld, s, ell, n = shape.field, shape.s, shape.ell, shape.n
     k = len(pivots)
-    cells = np.arange(n).reshape(s, ell)
-    # column c of a shifted row comes from column src[c]
-    src = np.concatenate([cells[shift_source(s, [1])[0]].ravel(),
-                          cells[:, shift_source(ell, [1])[0]].ravel()])
     step = max(1, _GATHER_ELEMS // (2 * k * n))
     for a in range(0, k, step):
-        shifted = gamma[a:a + step, src].reshape(-1, n)
+        rows = gamma[a:a + step].reshape(-1, s, ell)
+        shifted = shift_images(rows, np.array([1, 0]), np.array([0, 1])).reshape(-1, n)
         if fld.sub_arrays(shifted, fld.dot(shifted[:, pivots], gamma)).any():
             return False
     return True

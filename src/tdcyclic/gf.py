@@ -288,8 +288,8 @@ class Field:
         return _power(self.mul, a, e)
 
     def coords(self, a: int) -> tuple[int, ...]:
-        """Polynomial-basis coordinate vector (ascending degree, length m)."""
-        return tuple(_digits(a, self.p, self.m))
+        """Polynomial-basis coordinates (ascending degree, length m) of the integer a mod q."""
+        return tuple(_digits(_integer(a, "element encoding"), self.p, self.m))
 
     def from_coords(self, vec) -> int:
         """The element with coordinates vec (ascending degree), each an

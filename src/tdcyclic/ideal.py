@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BoundsError, DivisibilityError, NotMember
 from .gf import field_descriptor
 from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
-from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, _Value, shift_source, shift_sum
+from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, _Value, shift_images, shift_sum
 
 # rows * columns * rank bounding the work of span_basis's elimination of
 # (nonzero generators * n) shift rows by n columns: two generators at 32 x 32
@@ -214,15 +214,15 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
             f"elimination of {len(arrs)} generator(s) * {n} rows by {n} columns "
             f"exceeds the elimination budget of {MAX_ELIMINATION_WORK} rows * columns * rank")
     cols = np.arange(n).reshape(shape.ell, shape.s)[:, ::-1].ravel()
-    # index axes (a, b, j, i) put cell (i, j) of x^a y^b g in row a*ell + b at index j*s + i
-    src_i = shift_source(shape.s, np.arange(shape.s))[:, None, None, :]
-    src_j = shift_source(shape.ell, np.arange(shape.ell))[None, :, :, None]
+    a, b = np.divmod(np.arange(n), shape.ell)
     step = max(1, 4 * _GATHER_ELEMS // (n * n))
     mat, pivots = np.zeros((0, n), dtype=np.int64), ()
     for t in range(0, len(arrs), step):
-        # the step is a fresh array, which _rref eliminates in place
-        mat, pivots = _rref(np.concatenate(
-            [mat, np.stack(arrs[t:t + step])[:, src_i, src_j].reshape(-1, n)]), fld, cols)
+        # on g transposed to (ell, s), x^a y^b g is image (b, a), flattened in INTERNAL
+        # order; the step is a fresh array, which _rref eliminates in place
+        gens = np.stack(arrs[t:t + step]).transpose(0, 2, 1)
+        mat, pivots = _rref(np.concatenate([mat, shift_images(gens, b, a).reshape(-1, n)]),
+                            fld, cols)
     # the basis copies the rows alone, not the whole last step that mat views
     return EchelonBasis(shape, mat, pivots)
 
@@ -247,7 +247,7 @@ def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
     fld, s, ell = shape.field, shape.s, shape.ell
     layer_row = {p // s: r for r, p in enumerate(basis.pivots)}  # each block's last row
     layers, gens, quotients = [], [], []
-    base = None  # the layer 0 generator every coordinate is a multiple of
+    base = xs_minus_one(fld, s)  # layer 0's generator, x^s - 1 if empty, divides every coordinate
     for j in range(ell):
         r = layer_row.get(j)
         if r is None:
@@ -307,7 +307,8 @@ def decompose(f: BiPoly, gs: GeneratorSet, want_trace: bool = False) -> Decompos
         if q:
             # gens[k] * q is the sum of q_a times the rows x^a * gens[k],
             # a <= deg q < s, formed by the ring's chunked shift-sum kernel
-            shifted = shift_sum(shape, gs.gens[k].arr, q.coeffs, np.arange(len(q.coeffs)))
+            a = np.arange(len(q.coeffs))
+            shifted = shift_sum(shape, gs.gens[k].arr, q.coeffs, a, 0 * a)
             h = BiPoly._wrap(shape, fld.sub_arrays(h.arr, shifted))
         coeffs.append(CyclicPoly.from_poly(q, s))
         if want_trace and k < ell - 1:

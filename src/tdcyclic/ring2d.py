@@ -6,12 +6,12 @@ multiplying by x cyclically shifts rows down, multiplying by y shifts
 columns right.  Column j read as a vector is the coefficient of y^j, the
 unique expansion of the element over the cyclic ring in x.
 
-One kernel, ``shift_sum``, forms the sums of monomial shifts
-c_t * x^i_t y^j_t * b for the ring product and for ``ideal.decompose``.
-A product a * b sums over the nonzero cells c = a[i, j] of the sparser
+``shift_images`` is the engine's one gather of monomial shifts x^a y^b
+(the oracle keeps its own).  One kernel, ``shift_sum``, forms the sums
+c_t * x^i_t y^j_t * b for the ring product and for ``ideal.decompose``:
+a product a * b sums over the nonzero cells c = a[i, j] of the sparser
 factor a, a ``CyclicPoly`` factor being the element whose y^0
-coefficient it is.  The shifts of b are gathered through
-``shift_source`` and summed by one ``Field.dot``, in chunks of at most
+coefficient it is, by one ``Field.dot`` per chunk of at most
 ``_GATHER_ELEMS`` = 2^19 entries (4 MB of int64), the engine's one chunk
 budget, so the working set is a few chunk-sized arrays whatever the
 ring's size: about 2 over a prime field, up to 4 over an extension of
@@ -45,23 +45,25 @@ MAX_ARRAY_CELLS = 1 << 16
 _GATHER_ELEMS = 1 << 19  # entries of the monomial shifts one gather step holds
 
 
-def shift_source(size: int, shifts) -> np.ndarray:
-    """Cyclic shift gather along one axis: entry c shifted by shifts[k]
-    comes from entry [k, c], so x^a y^b g at (i, j) is g[(i - a) % s, (j - b) % ell]."""
-    return (np.arange(size)[None, :] - np.asarray(shifts)[:, None]) % size
+def shift_images(arr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Images x^a[t] y^b[t] * arr, t < T, of arr of shape (..., s, ell) as (..., T, s, ell):
+    cell (i, j) of image t is arr[..., (i - a[t]) % s, (j - b[t]) % ell].  a and b are 1-D
+    integer arrays, neither broadcast nor promoted, which would triple a small call's cost."""
+    s, ell = arr.shape[-2:]
+    rows = (np.arange(s)[:, None] - a[:, None, None]) % s  # (T, s, 1)
+    cols = (np.arange(ell) - b[:, None, None]) % ell  # (T, 1, ell)
+    return arr[..., rows, cols]
 
 
-def shift_sum(shape: RingShape, b: np.ndarray, coeffs, i, j=None) -> np.ndarray:
-    """The (s, ell) array of the sum of coeffs[t] * x^i[t] y^j[t] * b, y^0 when
-    j is None, gathering and summing the shifts of b _GATHER_ELEMS entries at a time."""
+def shift_sum(shape: RingShape, b: np.ndarray, coeffs, i, j) -> np.ndarray:
+    """The (s, ell) array of the sum of coeffs[t] * x^i[t] y^j[t] * b,
+    gathering and summing the shifts of b _GATHER_ELEMS entries at a time."""
     fld, n = shape.field, shape.n
     step = max(1, _GATHER_ELEMS // n)
     out = np.zeros(n, dtype=np.int64)
     for t in range(0, len(coeffs), step):
-        src = shift_source(shape.s, i[t:t + step])
-        if j is not None:
-            src = src[:, :, None], shift_source(shape.ell, j[t:t + step])[:, None, :]
-        out = fld.add_arrays(out, fld.dot(coeffs[t:t + step], b[src].reshape(-1, n)))
+        images = shift_images(b, i[t:t + step], j[t:t + step]).reshape(-1, n)
+        out = fld.add_arrays(out, fld.dot(coeffs[t:t + step], images))
     return out.reshape(shape.s, shape.ell)
 
 
@@ -159,7 +161,7 @@ class BiPoly(_Value):
             raise ValueError(f"need {shape.ell} coordinates, got {len(cs)}")
         a = np.zeros((shape.s, shape.ell), dtype=np.int64)
         for j, c in enumerate(cs):
-            if c.field != shape.field or c.s != shape.s:
+            if not isinstance(c, CyclicPoly) or c.field != shape.field or c.s != shape.s:
                 raise ValueError("coordinate does not match the ring shape")
             a[:, j] = c.coeffs
         return cls._wrap(shape, a)
@@ -221,12 +223,14 @@ class BiPoly(_Value):
         return BiPoly._wrap(self.shape, f.scale_array(f.make(c), self.arr))
 
     def shift_x(self, t: int = 1) -> "BiPoly":
-        """Multiply by x^t: cyclic row shift downward by t."""
-        return BiPoly._wrap(self.shape, np.roll(self.arr, t % self.shape.s, axis=0))
+        """Multiply by x^t: cyclic row shift downward by t, an integer."""
+        return BiPoly._wrap(self.shape,
+                            np.roll(self.arr, _integer(t, "shift") % self.shape.s, axis=0))
 
     def shift_y(self, t: int = 1) -> "BiPoly":
-        """Multiply by y^t: cyclic column shift rightward by t."""
-        return BiPoly._wrap(self.shape, np.roll(self.arr, t % self.shape.ell, axis=1))
+        """Multiply by y^t: cyclic column shift rightward by t, an integer."""
+        return BiPoly._wrap(self.shape,
+                            np.roll(self.arr, _integer(t, "shift") % self.shape.ell, axis=1))
 
     def __mul__(self, other):
         """Ring product; the right factor may be a BiPoly, a CyclicPoly

@@ -90,6 +90,8 @@ _VALUE_GATES = {
     "Poly": lambda F, v: Poly(F, [v, 1]).coeffs[0],
     "CyclicPoly": lambda F, v: CyclicPoly(F, [v, 1]).coeffs[0],
     "Poly.scale": lambda F, v: Poly.one(F).scale(v).coeffs[0],
+    # the encoding is rebuilt by place value: from_coords has a gate of its own
+    "Field.coords": lambda F, v: sum(d * F.p**k for k, d in enumerate(F.coords(v))),
 }
 
 
@@ -130,6 +132,10 @@ _PARAMETER_GATES = {
     "from_coords": lambda v: GF(3, 2).from_coords([v, 0]),
     "RingShape s": lambda v: RingShape(GF(2), v, 1).s,
     "RingShape ell": lambda v: RingShape(GF(2), 1, v).ell,
+    "BiPoly.shift_x": lambda v: int(np.flatnonzero(BiPoly.one(RingShape(GF(2), 3, 3))
+                                                   .shift_x(v).arr[:, 0])[0]),
+    "BiPoly.shift_y": lambda v: int(np.flatnonzero(BiPoly.one(RingShape(GF(2), 3, 3))
+                                                   .shift_y(v).arr[0])[0]),
     "min_distance cap": lambda v: min_distance(generator_matrix(_REPETITION), cap=v),
     "code_params cap": lambda v: code_params(_REPETITION, with_distance=True, cap=v).d,
 }

@@ -370,6 +370,16 @@ def test_layer_not_divisible_by_the_base_generator_refused():
         generator_set_from_basis(basis)
 
 
+def test_basis_with_an_empty_layer_0_refused():
+    """A hand-built basis whose layer 0 is empty but layer 1 is not cannot
+    be a basis of an ideal: the empty layer divides as x^s - 1, which the
+    layer-1 generator 1 is not a multiple of."""
+    basis = EchelonBasis(RingShape(F2, 2, 2), [[0, 0, 1, 0]], (2,))
+    with pytest.raises(DivisibilityError, match="^coordinate 1 of generator 1 is not "
+                                                "divisible by the base generator$"):
+        generator_set_from_basis(basis)
+
+
 def test_elements_of_another_shape_refused():
     sh, gens = fixture()
     stranger = BiPoly.one(RingShape(F2, 2, 3))

@@ -41,6 +41,11 @@ def test_dimension_mismatch():
         BiPoly(sh, [[1, 0, 0], [0, 0, 0]])
 
 
+def test_from_coords_refuses_a_coordinate_that_is_not_a_residue():
+    with pytest.raises(ValueError, match="^coordinate does not match the ring shape$"):
+        BiPoly.from_coords(shape22(), [[1, 0], [0, 1]])
+
+
 def test_linear_ops():
     sh = shape22()
     rng = random.Random(9)
@@ -78,6 +83,32 @@ def test_shifts_are_monomial_multiplications(s, ell):
         assert a.shift_y() == a * y_mono
         assert a.shift_x(s) == a
         assert a.shift_y(ell) == a
+
+
+@st.composite
+def _shift_image_cases(draw):
+    fld = draw(st.sampled_from([GF(2), GF(3), GF(2, 2)]))
+    s, ell = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    arr = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, fld.q, lead + (s, ell))
+    count = draw(st.integers(0, 4))
+    exps = st.lists(st.integers(-20, 20), min_size=count, max_size=count)
+    return arr, np.array(draw(exps), dtype=np.int64), np.array(draw(exps), dtype=np.int64)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_shift_image_cases())
+def test_shift_images_are_the_rolled_arrays(case):
+    """Image t of shift_images is arr rolled by a[t] rows and b[t]
+    columns, under any leading stack axes, for negative exponents and
+    exponents past s or ell, and there are no images when T = 0."""
+    arr, a, b = case
+    images = ring2d.shift_images(arr, a, b)
+    assert images.shape == arr.shape[:-2] + (len(a),) + arr.shape[-2:]
+    for t in range(len(a)):
+        rolled = np.roll(np.roll(arr, a[t], axis=-2), b[t], axis=-1)
+        assert np.array_equal(images[..., t, :, :], rolled)
 
 
 def test_mul_commutative_associative_random():
