@@ -62,8 +62,8 @@ def shift_sum(shape: RingShape, b: np.ndarray, coeffs, i, j) -> np.ndarray:
     step = max(1, _GATHER_ELEMS // n)
     out = np.zeros(n, dtype=np.int64)
     for t in range(0, len(coeffs), step):
-        images = shift_images(b, i[t:t + step], j[t:t + step]).reshape(-1, n)
-        out = fld.add_arrays(out, fld.dot(coeffs[t:t + step], images))
+        sl = slice(t, t + step)  # no name holds the images: a held chunk slows the next gather
+        out = fld.add_arrays(out, fld.dot(coeffs[sl], shift_images(b, i[sl], j[sl]).reshape(-1, n)))
     return out.reshape(shape.s, shape.ell)
 
 
