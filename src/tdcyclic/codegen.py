@@ -89,13 +89,13 @@ def dimension(gs: GeneratorSet) -> int:
 def generator_matrix(gs: GeneratorSet) -> GeneratorMatrix:
     """Rows x^a * gens[j], layer-major then shift, codeword flattening."""
     shape = gs.shape
-    labels = tuple((L.index, a) for L in gs.layers if not L.is_zero
-                   for a in range(shape.s - L.deg))
-    layer, shift = np.array(labels, dtype=np.intp).reshape(-1, 2).T
+    counts = [0 if L.is_zero else shape.s - L.deg for L in gs.layers]  # rows per layer
+    labels = tuple((L.index, a) for L, c in zip(gs.layers, counts) for a in range(c))
     # row (j, a) is x^a * gens[j], image (j, a) of one gather of at most n^2 entries
-    a = np.arange(shift.max(initial=-1) + 1)
+    a = np.arange(max(counts))
     images = shift_images(np.stack([g.arr for g in gs.gens]), a, 0 * a)
-    return GeneratorMatrix(shape, images[layer, shift].reshape(-1, shape.n), labels)
+    rows = images[a < np.array(counts)[:, None]]  # in label order: layer-major, then a
+    return GeneratorMatrix(shape, rows.reshape(-1, shape.n), labels)
 
 
 def encode(gm: GeneratorMatrix, msg) -> np.ndarray:
