@@ -285,6 +285,12 @@ def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
         if args.count > MAX_EXHAUSTIVE_CANDIDATES:
             raise TooLargeError(
                 f"count {args.count} exceeds the candidate bound {MAX_EXHAUSTIVE_CANDIDATES}")
+        # each draw is one span_basis of one generator, n^3 units of its budget
+        work = args.count * shape.n ** 3
+        if work > ideal.MAX_ELIMINATION_WORK:
+            raise TooLargeError(
+                f"count {args.count} * n^3 = {work} elimination work exceeds the run "
+                f"budget {ideal.MAX_ELIMINATION_WORK}")
         rng = random.Random(args.seed)
         candidates = ([[rng.randrange(q) for _ in range(shape.ell)]
                        for _ in range(shape.s)] for _ in range(args.count))

@@ -77,6 +77,12 @@ def _rref(a: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
     return a[:r], tuple(pivots)
 
 
+def _pivot_order(shape: RingShape) -> np.ndarray:
+    """The INTERNAL indices in the engine's pivot order: y-blocks ascending,
+    x-degrees descending within a block."""
+    return np.arange(shape.n).reshape(shape.ell, shape.s)[:, ::-1].ravel()
+
+
 # -- types -------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +94,8 @@ class EchelonBasis(_Value):
     the elimination found them: y-blocks ascending, x-degrees descending
     within a block.  Pivot entries are 1 and every other row is 0 in a
     pivot's column; the span is closed under both shifts by construction.
+    Pivots that are not each row's first nonzero entry in that order raise
+    ValueError.
     A frozen value (``_Value``): ``pivots`` is a tuple and ``matrix`` a
     read-only (len(pivots), n) array, unique for the span.
     """
@@ -99,6 +107,11 @@ class EchelonBasis(_Value):
     def __post_init__(self):
         object.__setattr__(self, "pivots", tuple(self.pivots))
         self._freeze("matrix", (len(self.pivots), self.shape.n))
+        # each row's pivot is its first nonzero entry in the engine's pivot order
+        cols = _pivot_order(self.shape)
+        nz = (self.matrix != 0)[:, cols]
+        if not nz.any(axis=1).all() or cols[nz.argmax(axis=1)].tolist() != list(self.pivots):
+            raise ValueError("pivots do not match the leading entries of the matrix")
 
     @property
     def rows(self) -> tuple[BiPoly, ...]:
@@ -213,7 +226,7 @@ def span_basis(shape: RingShape, generators) -> EchelonBasis:
         raise BoundsError(
             f"elimination of {len(arrs)} generator(s) * {n} rows by {n} columns "
             f"exceeds the elimination budget of {MAX_ELIMINATION_WORK} rows * columns * rank")
-    cols = np.arange(n).reshape(shape.ell, shape.s)[:, ::-1].ravel()
+    cols = _pivot_order(shape)
     a, b = np.divmod(np.arange(n), shape.ell)
     step = max(1, 4 * _GATHER_ELEMS // (n * n))
     mat, pivots = np.zeros((0, n), dtype=np.int64), ()

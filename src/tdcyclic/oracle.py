@@ -21,7 +21,17 @@ Every element and raw vector reaches the elimination through one gate,
 is read in codeword order, and a raw vector must have s*ell integer
 entries, taken mod q by ``Field.make_array`` as ``BiPoly`` takes them.
 A closure given in place of generators must have the ring's shape too.
-Anything else raises ``ValueError``.
+Anything else raises ``ValueError``; a 2-D array, whose rows share one
+dtype and width, is gated whole.
+
+Each input is closed once.  ``bruteforce_ideal`` gates its input on every
+call, then looks the gated rows up by value, keyed on the ring shape and
+their bytes, among the 8 closures it used last; a closure of a
+verify_generator_set call is found again by the verify_matrix call on the
+same generators.  An entry holds at most 64 x 64 cells twice (its reduced
+rows and its reducer's) plus its input, and every array in it is read-only,
+since callers share it.  Passing the ``ClosureBasis`` instead of the
+generators still works and skips the lookup.
 
 A rank certificate shortcuts a passing check.  The leading cell of a
 nonzero vector is its first nonzero cell, y ascending, then x
@@ -147,7 +157,13 @@ def _raw_vectors(fld, n: int, vectors, shape: RingShape | None = None) -> np.nda
     """Stack elements and raw vectors as canonical length-n codeword rows:
     an element must have the ring shape ``shape`` (with no shape, none is
     accepted), a raw vector n entries, and entries go through
-    fld.make_array, which refuses a non-integer and reduces mod q."""
+    fld.make_array, which refuses a non-integer and reduces mod q.  The
+    rows of a 2-D array share one dtype and width, so it is gated whole."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and len(vectors):
+        out = fld.make_array(vectors)
+        if out.shape[1] != n:
+            raise ValueError(f"vector length {out.shape[1]} != n = {n}")
+        return out
     out = np.zeros((len(vectors), n), dtype=np.int64)
     for t, v in enumerate(vectors):
         if isinstance(v, BiPoly):
@@ -175,6 +191,9 @@ class ClosureBasis(_Value):
 
     def __post_init__(self):
         self._freeze("vectors", (self._reducer.dimension, self.shape.n))
+        # a closure is shared by every caller that closes the same input
+        self._reducer.rows.setflags(write=False)
+        self._reducer.pivots.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -200,8 +219,16 @@ def bruteforce_ideal(shape: RingShape, generators) -> ClosureBasis:
     """
     if shape.n > MAX_ORACLE_LENGTH:
         raise BoundsError(f"oracle handles s*ell <= {MAX_ORACLE_LENGTH}, got {shape.n}")
+    return _closure(shape, _raw_vectors(shape.field, shape.n, list(generators), shape).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _closure(shape: RingShape, raw: bytes) -> ClosureBasis:
+    """The closure of the gated int64 rows whose bytes are raw.  The last few
+    are kept by value, so a caller that closes one input twice, as
+    verify_generator_set and then verify_matrix do, closes it once."""
     red = _Reducer(shape.field, shape.n)
-    added = red.extend(_raw_vectors(shape.field, shape.n, list(generators), shape))
+    added = red.extend(np.frombuffer(raw, dtype=np.int64).reshape(-1, shape.n))
     while added.size and red.dimension < shape.n:
         added = red.extend(_shifts(shape, added))
     return ClosureBasis(shape, red.reduced_rows(), red)
@@ -246,9 +273,16 @@ def check_shift_closure(shape: RingShape, vectors) -> bool:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check; a failing one may carry its datum, kept as a tuple
+    so that a Report hashes, and printed as a JSON list."""
+
     name: str
     passed: bool
-    counterexample: list | None = None
+    counterexample: tuple | None = None
+
+    def __post_init__(self):
+        if self.counterexample is not None:
+            object.__setattr__(self, "counterexample", tuple(self.counterexample))
 
 
 @dataclass(frozen=True)
@@ -261,7 +295,8 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {"checks": [
-            {"name": c.name, "pass": c.passed, "counterexample": c.counterexample}
+            {"name": c.name, "pass": c.passed,
+             "counterexample": None if c.counterexample is None else list(c.counterexample)}
             for c in self.checks]}
 
     def first_failure(self):

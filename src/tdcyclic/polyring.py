@@ -19,8 +19,9 @@ few layer generators again and again.  ``Field``, ``Poly`` and
 cache, and immutability is enforced: assigning or deleting a field raises
 ``AttributeError``.  Copying and pickling give back an equal value.
 
-The field is duck-typed, so this module has no run-time dependency on
-``gf``, which builds its extension fields from ``Poly`` over GF(p).
+The field is duck-typed, so this module depends on ``gf``, which builds
+its extension fields from ``Poly`` over GF(p), only where
+``CyclicPoly.shift`` reads its count through the integer gate of ``gf``.
 """
 
 from __future__ import annotations
@@ -332,9 +333,12 @@ class CyclicPoly:
         return CyclicPoly.from_poly(self.lift().scale(c), self.s)
 
     def shift(self, t: int = 1) -> "CyclicPoly":
-        """Multiply by x^t: coefficient index i moves to (i + t) mod s."""
+        """Multiply by x^t: coefficient index i moves to (i + t) mod s, for
+        an integer t (anything else raises ValueError, as for BiPoly.shift_x)."""
+        from .gf import _integer  # gf imports this module, so not at the top
+
         s = self.s
-        t %= s
+        t = _integer(t, "shift") % s
         return CyclicPoly._wrap(self.field, self.coeffs[s - t:] + self.coeffs[:s - t])
 
     def __repr__(self):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tdcyclic import (GF, BiPoly, RingShape, dimension, extract_generators,
+from tdcyclic import (GF, BiPoly, RingShape, TooLargeError, dimension, extract_generators,
                       generator_matrix, ideal, min_distance)
 from tdcyclic.cli import entry, main
 
@@ -217,6 +217,35 @@ def test_enumerate_random_count_over_bound_exits_4(tmp_path, capsys, monkeypatch
             assert time.perf_counter() - start < 1.0
             assert code == 4 and out == "", argv
             assert err.startswith("error:") and str(count) in err, err
+
+
+def test_random_run_over_its_work_budget_exits_4_in_subprocess(tmp_path):
+    # 65536 draws at 32 x 32 would run for days: count * n^3 is over the
+    # elimination budget, so the run is refused before its first draw
+    doc = {"field": {"p": 2}, "s": 32, "ell": 32, "generators": [],
+           "options": {"mode": "random", "count": 65536}}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdcyclic.cli", "enumerate", "--input",
+         write_problem(tmp_path, doc)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("error: count 65536 * n^3") and "Traceback" not in proc.stderr
+
+
+def test_random_run_at_its_work_budget_is_admitted(tmp_path, capsys, monkeypatch):
+    # 128 draws at 16 x 16 are 2^31 units, the budget itself: the first draw runs
+    def first_draw(*args):
+        raise TooLargeError("first draw")
+
+    monkeypatch.setattr("tdcyclic.ideal.span_basis", first_draw)
+    path = write_problem(tmp_path, {"field": {"p": 2}, "s": 16, "ell": 16})
+    for count, err in ((128, "error: first draw"), (129, "error: count 129 * n^3 = ")):
+        code, out, got = run(capsys, ["enumerate", "--input", path, "--mode", "random",
+                                      "--count", str(count)])
+        assert code == 4 and out == "" and got.startswith(err), got
 
 
 def _candidates(shape, mode, count=0, seed=0):

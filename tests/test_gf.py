@@ -136,6 +136,7 @@ _PARAMETER_GATES = {
                                                    .shift_x(v).arr[:, 0])[0]),
     "BiPoly.shift_y": lambda v: int(np.flatnonzero(BiPoly.one(RingShape(GF(2), 3, 3))
                                                    .shift_y(v).arr[0])[0]),
+    "CyclicPoly.shift": lambda v: CyclicPoly(GF(2), [1, 0, 0]).shift(v).coeffs.index(1),
     "min_distance cap": lambda v: min_distance(generator_matrix(_REPETITION), cap=v),
     "code_params cap": lambda v: code_params(_REPETITION, with_distance=True, cap=v).d,
 }

@@ -148,7 +148,9 @@ def test_engine_oracle_agreement_random():
 
 
 def _failures(rep):
-    return [(c.name, c.counterexample) for c in rep.checks if not c.passed]
+    """(name, counterexample) of each failing check, as the report prints them."""
+    return [(c["name"], c["counterexample"]) for c in rep.to_json_dict()["checks"]
+            if not c["pass"]]
 
 
 def test_counterexamples_pinned():
@@ -608,5 +610,86 @@ def test_layer_checks_match_a_pair_by_pair_reference(problem, kinds, rng):
     gs = extract_generators(sh, gens)
     for kind in kinds:
         gs = _corrupted_layers(rng, sh, gs, kind)
-    data = {c.name: c.counterexample for c in verify_generator_set(gs, gens).checks}
+    data = {c["name"]: c["counterexample"]
+            for c in verify_generator_set(gs, gens).to_json_dict()["checks"]}
     assert (data["layer-divides-xs-1"], data["base-divisibility"]) == _reference_layer_checks(gs)
+
+
+def test_a_verify_pair_closes_its_generators_once():
+    """verify_generator_set and then verify_matrix on the same generators
+    close them once: the second call finds the closure kept by value."""
+    sh = RingShape(GF(3), 2, 5)
+    gens = [BiPoly(sh, [[1, 2, 0, 0, 1], [0, 1, 0, 0, 0]])]
+    gs = extract_generators(sh, gens)
+    gm = generator_matrix(gs)
+    with mock.patch.object(oracle, "_Reducer", wraps=oracle._Reducer) as made:
+        assert verify_generator_set(gs, gens).passed and verify_matrix(gm, gens).passed
+    # both certificates hold here, so the closure is the only elimination
+    assert made.call_count == 1
+
+
+@pytest.mark.parametrize("shapes", [
+    (RingShape(GF(2), 2, 3), RingShape(GF(2), 3, 2)),
+    (RingShape(GF(2), 2, 3), RingShape(GF(2, 2), 2, 3)),
+], ids=["2x3 against 3x2", "GF(2) against GF(4)"])
+def test_equal_raw_bytes_under_another_shape_give_another_closure(shapes):
+    raw = [[1, 1, 0, 1, 0, 0]]  # gated to the same int64 bytes in both shapes
+    first = [bruteforce_ideal(sh, raw) for sh in shapes]
+    with mock.patch.object(oracle, "_Reducer", wraps=oracle._Reducer) as made:
+        again = [bruteforce_ideal(sh, raw) for sh in shapes]
+    assert made.call_count == 0 and [a is b for a, b in zip(first, again)] == [True, True]
+    for sh, closure in zip(shapes, first):
+        shifts = _all_monomial_shifts(sh, np.reshape(raw, (sh.s, sh.ell)))
+        assert closure.shape == sh
+        assert np.array_equal(closure.vectors, reduced_span(sh.field, sh.n, shifts))
+
+
+def test_a_refused_input_is_never_served_from_the_cache():
+    sh = RingShape(GF(2), 2, 2)
+    assert bruteforce_ideal(sh, [[1, 0, 1, 0]]).dimension == 2
+    with pytest.raises(ValueError, match="^entries of dtype float64"):
+        bruteforce_ideal(sh, [[1.0, 0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="^generator does not match the ring shape$"):
+        bruteforce_ideal(sh, [BiPoly(RingShape(GF(2, 2), 2, 2), [[1, 0], [1, 0]])])
+    assert bruteforce_ideal(RingShape(GF(2), 8, 8), []).dimension == 0
+    with pytest.raises(BoundsError):
+        bruteforce_ideal(RingShape(GF(2), 5, 13), [])
+
+
+def test_a_kept_closure_is_read_only():
+    sh, gens = fixture_problem()
+    closure = bruteforce_ideal(sh, gens)
+    assert bruteforce_ideal(sh, gens) is closure
+    red = closure._reducer
+    for a in (closure.vectors, red.rows, red.pivots):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([[1, 2, 3, 4], [5, 6, 7, 8], [0, -1, 9, 2]]),
+    np.array([[True, False, True, True]]),
+    np.array([[1, 0, 1, 0]], dtype=np.uint64),
+    np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
+    np.array([["1", "0", "1", "0"]]),
+    np.array([[1, 0, 1], [0, 1, 0]]),
+    np.zeros((2, 0), dtype=np.int64),
+    np.zeros((0, 3), dtype=np.int64),
+], ids=["int", "bool", "uint64", "float", "str", "width 3", "width 0", "no rows"])
+def test_a_2d_array_is_gated_whole_as_row_by_row(arr):
+    """A 2-D array goes through one make_array call, with the result and the
+    refusal that gating it row by row (its rows as a list) gives."""
+    F = GF(3)
+
+    def gated(vectors):
+        try:
+            return oracle._raw_vectors(F, 4, vectors).tolist()
+        except ValueError as e:
+            return str(e)
+
+    with mock.patch.object(type(F), "make_array", autospec=True,
+                           side_effect=type(F).make_array) as make:
+        whole = gated(arr)
+    assert make.call_count == (1 if len(arr) else 0)
+    assert whole == gated(list(arr))

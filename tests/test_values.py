@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from tdcyclic import (GF, BiPoly, CyclicPoly, EchelonBasis, Field, GeneratorMatrix, Poly,
                       RingShape, bruteforce_ideal, cofactor, decompose, extract_generators,
-                      generator_matrix, generator_set_from_basis, span_basis)
+                      generator_matrix, generator_set_from_basis, span_basis,
+                      verify_generator_set)
 
 F4 = GF(2, 2)
 SHAPE = RingShape(F4, 3, 3)
@@ -127,6 +128,36 @@ def test_basis_refuses_a_matrix_of_another_shape():
     for matrix, pivots in (([[1, 0, 1]], (0,)), ([[1, 0, 1, 0]], (0, 2)), ([1, 0, 1, 0], (0,))):
         with pytest.raises(ValueError, match="^matrix of shape"):
             EchelonBasis(shape, matrix, pivots)
+
+
+def test_basis_refuses_pivots_its_matrix_contradicts():
+    """Each pivot must be its row's first nonzero entry in the engine's
+    pivot order: with the pivots of <1 + x> swapped, the basis answered
+    contains False for both of its own rows."""
+    shape = RingShape(GF(2), 2, 2)
+    basis = span_basis(shape, [BiPoly(shape, [[1, 0], [1, 0]])])
+    assert basis.pivots == (1, 3)
+    assert EchelonBasis(shape, basis.matrix, (1, 3)) == basis
+    for matrix, pivots in ((basis.matrix, (3, 1)), (basis.matrix, (0, 2)),
+                           ([[1, 1, 0, 0], [0, 0, 0, 0]], (1, 2))):
+        with pytest.raises(ValueError, match="^pivots do not match"):
+            EchelonBasis(shape, matrix, pivots)
+
+
+def test_a_failing_report_hashes():
+    """A Report hashes by value, a failing one too: its counterexamples are
+    tuples, printed as JSON lists."""
+    shape = RingShape(GF(2), 2, 2)
+    gs = extract_generators(shape, [BiPoly.one(shape)])
+    g = BiPoly(shape, [[1, 0], [1, 0]])
+    report = verify_generator_set(gs, [g])
+    assert not report.passed
+    assert report == verify_generator_set(gs, [g])
+    assert hash(report) == hash(verify_generator_set(gs, [g]))
+    assert hash(report) != hash(verify_generator_set(gs, [BiPoly.one(shape)]))
+    bad = report.first_failure()
+    assert bad.name == "gens-in-ideal" and bad.counterexample == (1, 0, 0, 0)
+    assert report.to_json_dict()["checks"][0]["counterexample"] == [1, 0, 0, 0]
 
 
 def test_closure_vectors_are_read_only():
