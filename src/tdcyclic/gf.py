@@ -7,17 +7,24 @@ usual integer-mod-p representation.  A ``Field`` instance owns the
 modulus polynomial and provides every operation, both on scalar
 encodings and on numpy arrays of encodings.
 
-Prime fields (m = 1) compute directly mod p: one machine operation per
-element, with no table to build or look up.  Every extension field
-(m > 1) uses one path whatever its size.  Construction finds a primitive
-element g and tabulates exp[i] = g^i and its inverse log, so products,
-scalings, inverses and negation (-1 = g^((q-1)/2)) are gathers such as
+Every field of characteristic 2, GF(2) included, adds, subtracts and
+negates by XOR, and GF(2) multiplies by AND.  Other prime fields (m = 1)
+compute directly mod p: one machine operation per element, with no table
+to build or look up.  Every extension field (m > 1) uses one path
+whatever its size.  Construction finds a primitive element g and
+tabulates exp[i] = g^i and its inverse log, so products, scalings,
+inverses and negation (-1 = g^((q-1)/2)) are gathers such as
 exp[log a + log b], for arrays and, by ``item``, for scalars.  log[0]
 points into a zero-filled tail of exp, so a zero factor needs no branch.
-Addition is XOR for p = 2 and otherwise one pass over the base-p digits,
-one digit at a time.  The tables, one read-only array each, hold about 5q
-entries, against q^2 for full addition and multiplication tables.  A
-``Field`` is a frozen dataclass that compares and hashes by (p, m, modulus).
+For odd p, addition in an extension field is one pass over the base-p
+digits, one digit at a time.  The tables, one read-only array each, hold
+about 5q entries, against q^2 for full addition and multiplication
+tables.  A ``Field`` is a frozen dataclass that compares and hashes by
+(p, m, modulus).
+
+The operations take canonical encodings, integers in [0, q), as
+``make`` and ``make_array`` give them; on those, XOR and AND are the
+sums and products mod 2.
 
 ``Field.dot`` is the one kernel for linear combinations of rows, c @ rows
 for one coefficient vector or a batch of them.  Prime fields take one
@@ -243,10 +250,10 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         p = self.p
-        if self.m == 1:
-            return (a + b) % p
         if p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a + b) % p
         out, w = 0, 1
         for _ in range(self.m):
             out += (a // w + b // w) % p * w
@@ -254,14 +261,16 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
         if self.p == 2:
             return a
+        if self.m == 1:
+            return (-a) % self.p
         # -1 = g^((q-1)/2): negation shifts the log by half a period
         return self._exp_np.item(self._log_np.item(a) + (self.q - 1) // 2)
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.m == 1:
             return (a - b) % self.p
         return self.add(a, self.neg(b))
@@ -309,10 +318,10 @@ class Field:
     def add_arrays(self, a, b) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
         p = self.p
-        if self.m == 1:
-            return (a + b) % p
         if p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a + b) % p
         # one base-p digit at a time; the larger operand is divided straight
         # into the digit buffer, so the working set is two result-sized arrays
         if a.size < b.size:
@@ -331,13 +340,15 @@ class Field:
 
     def neg_array(self, a) -> np.ndarray:
         a = np.asarray(a)
-        if self.m == 1:
-            return (-a) % self.p
         if self.p == 2:
             return a.copy()
+        if self.m == 1:
+            return (-a) % self.p
         return self._exp_np[self._log_np[a] + (self.q - 1) // 2]
 
     def sub_arrays(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.asarray(a) ^ np.asarray(b)
         if self.m == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
         return self.add_arrays(a, self.neg_array(b))
@@ -349,6 +360,8 @@ class Field:
     def mul_arrays(self, a, b) -> np.ndarray:
         """Elementwise (broadcasting) product of two encoding arrays."""
         a, b = np.asarray(a), np.asarray(b)
+        if self.q == 2:
+            return a & b
         if self.m == 1:
             return (a * b) % self.p
         return self._exp_np[self._log_np[a] + self._log_np[b]]

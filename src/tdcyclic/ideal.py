@@ -51,27 +51,30 @@ def _rref(a: np.ndarray, fld, cols) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form with pivots sought in the column order
     ``cols``, eliminated in place on a, a writable int64 array of canonical
     elements that the caller owns; returns (the nonzero rows as a view of a,
-    the pivot columns in the order they were found)."""
+    the pivot columns in the order they were found).
+
+    Each pivot costs one update of the rows it clears: the pivot row is
+    taken out, row r moves into its place and is zeroed, every row still
+    nonzero in the column is reduced at once, and the pivot row goes to r."""
     nrows = len(a)
     r = 0
     pivots = []
     for c in cols:
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[:, c]  # a view: it follows every update of a
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        pv = int(a[r, c])
-        if pv != 1:
-            a[r] = fld.scale_array(fld.inv(pv), a[r])
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
+        pv = int(col[pr])
+        row = a[pr].copy() if pv == 1 else fld.scale_array(fld.inv(pv), a[pr])
+        a[pr] = a[r]
+        a[r] = 0
+        others = col.nonzero()[0]
         if others.size:
-            factors = a[others, c]
-            a[others] = fld.sub_arrays(a[others], fld.mul_arrays(factors[:, None], a[r][None, :]))
+            a[others] = fld.sub_arrays(a[others], fld.mul_arrays(col[others][:, None], row))
+        a[r] = row
         pivots.append(int(c))
         r += 1
     return a[:r], tuple(pivots)

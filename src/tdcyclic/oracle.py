@@ -100,7 +100,7 @@ class _Reducer:
         work = np.concatenate([self.rows, res[res.any(axis=1)]])
         pivots, keep = self.pivots.tolist(), list(range(r))
         for t in range(r, len(work)):
-            nz = np.flatnonzero(work[t])
+            nz = work[t].nonzero()[0]
             if not nz.size:
                 continue
             c, pv = int(nz[0]), int(work[t, nz[0]])

@@ -275,8 +275,9 @@ def test_field_equality_and_cache():
 
 def test_array_ops_match_scalar_ops():
     rng = np.random.default_rng(7)
+    # GF(2) adds by XOR and multiplies by AND; GF(65521)'s products reach 2^32
     for F in (GF(3), GF(3, 2), GF(2, 10, modulus=[1, 0, 0, 1] + [0] * 6 + [1]),
-              GF(2, 16), GF(3, 6)):
+              GF(2, 16), GF(3, 6), GF(2), GF(65521)):
         a = rng.integers(0, F.q, size=20)
         b = rng.integers(0, F.q, size=20)
         a[:2], b[1:3] = 0, 0  # zero against nonzero and against zero
@@ -286,6 +287,18 @@ def test_array_ops_match_scalar_ops():
         c = int(rng.integers(1, F.q))
         assert [F.mul(c, int(x)) for x in a] == F.scale_array(c, a).tolist()
         assert [F.sub(int(x), int(y)) for x, y in zip(a, b)] == F.sub_arrays(a, b).tolist()
+        # the (k, 1) x (n,) and (k, 1) x (1, n) products, and the difference, that
+        # _rref and the oracle's elimination take
+        col, row, mat = a[:6], b[6:13], rng.integers(0, F.q, size=(6, 7))
+        prod = [[F.mul(int(x), int(y)) for y in row] for x in col]
+        assert F.mul_arrays(col[:, None], row).tolist() == prod
+        assert F.mul_arrays(col[:, None], row[None, :]).tolist() == prod
+        assert F.sub_arrays(mat, F.mul_arrays(col[:, None], row)).tolist() == [
+            [F.sub(int(v), w) for v, w in zip(mrow, prow)] for mrow, prow in zip(mat, prod)]
+        arrays = [F.add_arrays(a, b), F.neg_array(a), F.mul_arrays(a, b), F.scale_array(c, a),
+                  F.sub_arrays(a, b), F.mul_arrays(col[:, None], row),
+                  F.sub_arrays(mat, F.mul_arrays(col[:, None], row))]
+        assert all(type(r) is np.ndarray and r.dtype == np.int64 for r in arrays)
         if F.m > 1:
             # scalar results reach json.dumps in the CLI: plain ints only
             x, y = int(a[5]), int(b[5])
