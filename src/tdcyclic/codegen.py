@@ -6,15 +6,19 @@ in (layer, shift) order; they form an F-basis of the code, so the
 dimension is the sum of s - deg over the layers.
 
 Minimum distance is the Brouwer-Zimmermann information-set search
-(Zimmermann 1996; Grassl 2006) on the generator matrix, under a hard cap
-on q^k, desk scale only.  The matrix is put in systematic form on one
-information set I, in natural column order.  Messages of weight
-w = 1, 2, ... are encoded, which lowers an upper bound on d, while every
-codeword not yet seen weighs more than w on I, which raises a lower
-bound; the search stops when the bounds meet.  A code of the ring is
-closed under the s*ell shifts x^a y^b, and one shift takes any cell to
-any other, so averaged over the shifts a codeword of weight t has
-k*t/n cells on I: some shift of it, of the same weight, is seen by
+(Zimmermann 1996; Grassl 2006), under a hard cap on q^k, desk scale only,
+on a systematic form of the code on one information set I.  For a
+GeneratorSet the engine read off a basis, that form is the basis itself,
+the ideal's unique reduced echelon basis, whose pivots, the leading
+cells, are I: ``code_params`` searches it in codeword order, with no
+generator matrix and no second elimination.  ``min_distance`` eliminates
+the matrix it is given, hand-built or not, in natural column order.
+Messages of weight w = 1, 2, ... are encoded, which lowers an upper bound
+on d, while every codeword not yet seen weighs more than w on I, which
+raises a lower bound; the search stops when the bounds meet.  A code of
+the ring is closed under the s*ell shifts x^a y^b, and one shift takes
+any cell to any other, so averaged over the shifts a codeword of weight
+t has k*t/n cells on I: some shift of it, of the same weight, is seen by
 level k*t/n.  So after level w the lower bound is ceil(n (w + 1) / k),
 not w + 1 (the automorphism refinement of Grassl 2006, by averaging).
 Shift closure is tested on the rows, not assumed, and only once the
@@ -168,7 +172,10 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     Brouwer-Zimmermann search on one information set.
 
     The rows are put in systematic form gamma on their pivots I, k of
-    them for rank k, so a message's weight is its codeword's weight on I.
+    them for rank k, eliminated in natural column order, so a message's
+    weight is its codeword's weight on I.  ``code_params`` of a set the
+    engine read off a basis skips this elimination: it searches the
+    reduced basis, whose pivots are the leading cells.
     Level w encodes every message of weight w, up to a scalar, and the
     least weight seen, best, bounds d from above.  After level w every
     codeword not yet seen has weight at least w + 1, and at least
@@ -184,13 +191,22 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     Each level comes from _level in chunks of at most _GATHER_ELEMS
     elements, grown from the levels below it at half the budget each, so
     the working set stays three arrays of _GATHER_ELEMS elements."""
-    fld = gm.shape.field
-    n = gm.n
+    _check_cap(gm.shape.field, gm.k, cap)
+    gamma, pivots = _rref(gm.rows.copy(), gm.shape.field, range(gm.n))  # gm.rows is read-only
+    return _search(gm.shape, gamma, pivots)
+
+
+def _check_cap(fld, k: int, cap) -> None:
     cap = _integer(cap, "cap")
-    total = fld.q**gm.k
+    total = fld.q**k
     if total > cap:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
-    gamma, pivots = _rref(gm.rows.copy(), fld, range(n))  # gm.rows is read-only
+
+
+def _search(shape: RingShape, gamma: np.ndarray, pivots) -> int:
+    """The search of min_distance on gamma, k x n in codeword order, whose
+    columns ``pivots`` hold the identity."""
+    fld, n = shape.field, shape.n
     k = len(pivots)
     if k == 0:
         raise ValueError("minimum distance is undefined for a dimension-0 code")
@@ -204,7 +220,7 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
         del words, last
         bound = w + 1
         if closed is None and best > bound:
-            closed = _shift_closed(gm.shape, gamma, pivots)
+            closed = _shift_closed(shape, gamma, pivots)
         if closed:
             bound = -(-n * bound // k)
         if best <= bound:
@@ -214,13 +230,30 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
 
 def code_params(gs: GeneratorSet, with_distance: bool = False,
                 cap: int = DEFAULT_CAP) -> CodeParams:
-    """Aggregate (n, k, q) and optionally d for the code of a GeneratorSet."""
+    """Aggregate (n, k, q) and optionally d for the code of a GeneratorSet.
+
+    A set the engine read off a basis (``gs.basis``) is searched on that
+    reduced echelon basis, its columns put in codeword order: its pivots,
+    the leading cells, are the information set, so no generator matrix is
+    built and nothing is eliminated again.  A set without one, built by
+    hand or by ``dataclasses.replace``, goes through
+    min_distance(generator_matrix(gs)).  d is the same either way: the
+    search is exact on any information set."""
     cap = _integer(cap, "cap")
+    shape, basis = gs.shape, gs.basis
     k = dimension(gs)
     d = None
     if with_distance and k > 0:
-        d = min_distance(generator_matrix(gs), cap)
-    return CodeParams(gs.shape.n, k, gs.shape.field.q, d)
+        if basis is None:
+            d = min_distance(generator_matrix(gs), cap)
+        else:
+            _check_cap(shape.field, k, cap)
+            s, ell = shape.s, shape.ell
+            # codeword index i*ell + j of cell (i, j) reads INTERNAL index j*s + i
+            perm = np.arange(shape.n).reshape(ell, s).T.ravel()
+            pivots = [(p % s) * ell + p // s for p in basis.pivots]
+            d = _search(shape, basis.matrix[:, perm], pivots)
+    return CodeParams(shape.n, k, shape.field.q, d)
 
 
 # -- output formats (bit-exact across runs) ----------------------------------

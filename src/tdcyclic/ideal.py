@@ -31,7 +31,7 @@ non-members).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,12 +168,21 @@ class GeneratorSet:
     every generating polynomial has the set's shape; construction checks
     both.  A zero layer stores no quotients, and its generating polynomial
     is zero.
+
+    ``basis`` is derived state: the reduced echelon basis the set was read
+    off, which ``generator_set_from_basis`` keeps so that the distance
+    search starts from it instead of eliminating again.  It keeps the
+    k x n basis alive (7.9 MB at GF(2) 32 x 32).  It is not an argument and
+    takes no part in equality, hashing, repr or ``to_json_dict``;
+    ``dataclasses.replace`` and a hand-built set carry None, so a set
+    whose data was changed never carries a basis that does not span it.
     """
 
     shape: RingShape
     layers: tuple[LayerInfo, ...]
     gens: tuple[BiPoly, ...]
     quotients: tuple[tuple[Poly, ...], ...]
+    basis: EchelonBasis | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ell = self.shape.ell
@@ -285,7 +294,9 @@ def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
                     f"coordinate {i} of generator {j} is not divisible by the base generator")
             qs.append(q)
         quotients.append(tuple(qs))
-    return GeneratorSet(shape, tuple(layers), tuple(gens), tuple(quotients))
+    gs = GeneratorSet(shape, tuple(layers), tuple(gens), tuple(quotients))
+    object.__setattr__(gs, "basis", basis)
+    return gs
 
 
 def extract_generators(shape: RingShape, generators) -> GeneratorSet:

@@ -139,7 +139,8 @@ class Poly:
         return Poly._wrap(f, out)
 
     def __divmod__(self, other: "Poly"):
-        _check_same_field(self, other)
+        if self.field is not other.field:
+            _check_same_field(self, other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
@@ -147,14 +148,16 @@ class Poly:
         r = list(self.coeffs)
         b = other.coeffs
         db = len(b) - 1
-        inv_lead = f.inv(b[-1])
+        monic = b[-1] == 1  # every layer generator and x^s - 1 is: no inverse, no scaling
+        inv_lead = 1 if monic else f.inv(b[-1])
+        low = [(i, c) for i, c in enumerate(b[:-1]) if c]  # the leading term cancels
         q = [0] * max(len(r) - db, 0)
-        while r and len(r) - 1 >= db:
+        while len(r) > db:
             shift = len(r) - 1 - db
-            factor = fmul(r[-1], inv_lead)
+            factor = r.pop() if monic else fmul(r.pop(), inv_lead)
             q[shift] = factor
-            for i, bc in enumerate(b):
-                r[shift + i] = fsub(r[shift + i], fmul(factor, bc))
+            for i, c in low:
+                r[shift + i] = fsub(r[shift + i], fmul(factor, c))
             while r and r[-1] == 0:
                 r.pop()
         return Poly._wrap(f, q), Poly._wrap(f, r)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tdcyclic import (CODEWORD, GF, BiPoly, Field, GeneratorMatrix, Poly, RingShape,
+from tdcyclic import (CODEWORD, GF, BiPoly, CodeParams, Field, GeneratorMatrix, Poly, RingShape,
                       TooLargeError, bruteforce_ideal, check_shift_closure,
                       code_params, decompose, dimension, encode, enumerate_span,
                       extract_generators, gcd, generator_matrix, min_distance,
                       reduced_span, xs_minus_one)
-from tdcyclic import codegen
+from tdcyclic import codegen, ideal
 from tdcyclic.codegen import matrix_csv, matrix_json_dict, matrix_text
 from tdcyclic.ring2d import _GATHER_ELEMS
 from conftest import random_generators
@@ -533,6 +534,63 @@ def test_min_distance_matches_oracle_on_random_ideals(data, budget):
     weights = np.count_nonzero(span, axis=1)
     with mock.patch.object(codegen, "_GATHER_ELEMS", budget):
         assert min_distance(gm) == int(weights[weights > 0].min())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_code_params_on_the_basis_matches_the_generator_matrix(data):
+    """code_params searches an engine set on the reduced basis it was read
+    off, in codeword order, systematic on the pivots it is given, and a
+    copy by dataclasses.replace, which carries no basis, on its generator
+    matrix: d is the same both ways, and min_distance's."""
+    F = data.draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2)]))
+    sh = RingShape(F, data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    factor = BiPoly.one(sh)
+    for _ in range(data.draw(st.integers(0, 3))):  # away from the whole ring
+        factor = factor * BiPoly(sh, [[rng.randrange(F.q) for _ in range(sh.ell)]
+                                      for _ in range(sh.s)])
+    gs = extract_generators(sh, [g * factor for g in random_generators(rng, sh)])
+    k = dimension(gs)
+    assume(k > 0 and F.q**k <= 1 << 14)
+    assert gs.basis is not None
+    copy = dataclasses.replace(gs)
+    assert copy.basis is None
+    searched = []
+    search = codegen._search
+
+    def recording_search(shape, gamma, pivots):
+        searched.append((gamma, pivots))
+        return search(shape, gamma, pivots)
+
+    with mock.patch.object(codegen, "_search", recording_search):
+        d = code_params(gs, with_distance=True).d
+    (gamma, pivots), = searched
+    gm = generator_matrix(gs)
+    assert gamma[:, pivots].tolist() == np.eye(k, dtype=np.int64).tolist()
+    assert reduced_span(F, sh.n, gamma).tolist() == reduced_span(F, sh.n, gm.rows).tolist()
+    assert d == min_distance(gm) == code_params(copy, with_distance=True).d
+
+
+def test_code_params_on_an_engine_set_neither_builds_nor_eliminates(monkeypatch):
+    """Golay23 x [3, 2] (k=24, d=14) is searched on its basis: no generator
+    matrix and no elimination.  The q^k > cap refusal comes first, with
+    min_distance's message."""
+    sh, gens = _product_code(F2, 23, 3, GOLAY23, [1, 1])
+    gs = extract_generators(sh, gens)
+    with pytest.raises(TooLargeError) as old:
+        min_distance(generator_matrix(gs), cap=(1 << 24) - 1)
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for module, name in ((ideal, "_rref"), (codegen, "_rref"), (codegen, "generator_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    assert code_params(gs, with_distance=True, cap=1 << 24) == CodeParams(69, 24, 2, 14)
+    monkeypatch.setattr(codegen, "_search", refuse)
+    with pytest.raises(TooLargeError, match=r"^q\^k = 16777216 exceeds cap 16777215$") as new:
+        code_params(gs, with_distance=True, cap=(1 << 24) - 1)
+    assert str(new.value) == str(old.value)
 
 
 def test_code_params():

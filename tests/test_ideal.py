@@ -301,10 +301,11 @@ def test_many_generators_reach_in_flat_memory():
         assert peak < 6 * 4 * ring2d._GATHER_ELEMS * 8, (count, peak)
 
 
-def test_one_step_is_eliminated_in_place():
+def test_one_step_is_eliminated_in_place(monkeypatch):
     """512 multiples of (1 + x)(1 + y) at 8 x 8 fill one elimination step of
     2^21 int64 entries, 16 MiB, which _rref eliminates where span_basis
-    built it: the traced peak (41 MiB here) stays under 56 MiB, where a
+    built it: the rows it returns share memory with the step it was
+    passed, and the traced peak (41 MiB here) stays under 56 MiB, where a
     copy of the step held beside it would take it to 57 MiB.  The basis
     keeps its 49 rows and not the step they were eliminated in."""
     sh = RingShape(F2, 8, 8)
@@ -313,12 +314,22 @@ def test_one_step_is_eliminated_in_place():
     rng = np.random.default_rng(5)
     gens = [box] + [box * BiPoly(sh, rng.integers(0, 2, (8, 8))) for _ in range(511)]
     assert len(gens) * sh.n * sh.n == 4 * ring2d._GATHER_ELEMS
+    in_place = []
+    rref = ideal._rref
+
+    def recording_rref(a, *args):
+        rows, pivots = rref(a, *args)
+        in_place.append(np.shares_memory(rows, a))  # holds no reference to the step
+        return rows, pivots
+
+    monkeypatch.setattr(ideal, "_rref", recording_rref)
     tracemalloc.start()
     try:
         got = span_basis(sh, gens)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert in_place == [True]
     assert got.matrix.tobytes() == span_basis(sh, [box]).matrix.tobytes()
     assert peak < 56 * 2**20, peak
     assert held < 2**20, held

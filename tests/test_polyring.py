@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_add, gf_gcd, gf_gcdex, gf_mul, gf_quo, gf_rem
+from sympy.polys.galoistools import gf_add, gf_div, gf_gcd, gf_gcdex, gf_mul, gf_quo, gf_rem
 
 from tdcyclic import (GF, BiPoly, CyclicPoly, Poly, RingShape, cofactor, divides_xs_minus_one,
                       gcd, xgcd, xs_minus_one)
@@ -248,6 +248,44 @@ def test_gcd_xgcd_and_divisors_match_sympy(p):
         else:
             with pytest.raises(ValueError):
                 cofactor(f, s)
+
+
+def _random_divisor(rng, F, max_deg):
+    """A monic divisor half the time, as the engine's are, else any lead."""
+    b = _random_poly(rng, F, max_deg)
+    return b if rng.random() < 0.5 else b.scale(rng.randrange(1, F.q))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_divmod_matches_sympy(p):
+    """divmod against sympy's gf_div, monic and non-monic divisors alike,
+    with sparse divisors, a zero dividend and dividends of lower degree."""
+    F = GF(p)
+    rng = random.Random(100 + p)
+    for i in range(300):
+        b = _random_divisor(rng, F, 5)
+        if rng.random() < 0.3:  # zero coefficients below the lead
+            b = Poly(F, [c if rng.random() < 0.4 else 0 for c in b.coeffs[:-1]] + [b.lc])
+        a = Poly.zero(F) if i % 25 == 0 else _random_poly(rng, F, 9).scale(rng.randrange(1, p))
+        if i % 7 == 0:
+            a = a % b  # deg a < deg b
+        quo, rem = divmod(a, b)
+        assert (_to_sympy(quo), _to_sympy(rem)) == gf_div(_to_sympy(a), _to_sympy(b), p, ZZ)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+def test_divmod_invariant_over_extension_fields(p, m):
+    """a = quo * b + rem with deg rem < deg b over GF(4), GF(8) and GF(9),
+    whose non-monic divisors need the inverse of the lead."""
+    F = GF(p, m)
+    rng = random.Random(200 + F.q)
+    for i in range(300):
+        b = _random_divisor(rng, F, 5)
+        a = Poly.zero(F) if i % 25 == 0 else _random_poly(rng, F, 9).scale(rng.randrange(1, F.q))
+        quo, rem = divmod(a, b)
+        assert quo * b + rem == a
+        assert rem.is_zero or rem.degree < b.degree
+        assert quo.is_zero or quo.degree == a.degree - b.degree
 
 
 # -- the trusted construction path --------------------------------------------------

@@ -7,6 +7,7 @@ each exp/log table once, as a read-only array that its scalar operations
 read too."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcyclic import (GF, BiPoly, CyclicPoly, EchelonBasis, Field, GeneratorMatrix, Poly,
-                      RingShape, bruteforce_ideal, cofactor, decompose, extract_generators,
-                      generator_matrix, generator_set_from_basis, span_basis,
-                      verify_generator_set)
+from tdcyclic import (GF, BiPoly, CyclicPoly, EchelonBasis, Field, GeneratorMatrix,
+                      GeneratorSet, Poly, RingShape, bruteforce_ideal, cofactor, decompose,
+                      extract_generators, generator_matrix, generator_set_from_basis,
+                      span_basis, verify_generator_set)
 
 F4 = GF(2, 2)
 SHAPE = RingShape(F4, 3, 3)
@@ -55,6 +56,23 @@ def test_generator_set_survives_copy_and_pickle(trip):
     assert out.to_json_dict() == gs.to_json_dict()
     assert out == gs and hash(out) == hash(gs)
     assert all(not g.arr.flags.writeable for g in out.gens)
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_generator_set_keeps_the_basis_it_was_read_off(trip):
+    """An engine set keeps its basis, through copies and pickles too; a
+    hand-built set and a dataclasses.replace copy carry none.  The basis
+    is derived state: equality, hash, repr and to_json_dict ignore it."""
+    gs = extract_generators(SHAPE, [G])
+    assert gs.basis == span_basis(SHAPE, [G])
+    out = ROUND_TRIPS[trip](gs)
+    assert out == gs and out.basis == gs.basis
+    for bare in (GeneratorSet(gs.shape, gs.layers, gs.gens, gs.quotients),
+                 dataclasses.replace(gs)):
+        assert bare.basis is None
+        assert bare == gs and hash(bare) == hash(gs) and repr(bare) == repr(gs)
+        assert bare.to_json_dict() == gs.to_json_dict()
+    assert "basis" not in repr(gs)
 
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
