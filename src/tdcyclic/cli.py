@@ -304,7 +304,7 @@ def cmd_enumerate(problem: Problem, args) -> tuple[str, int]:
         if basis in seen:
             continue
         seen.add(basis)
-        gs = ideal.generator_set_from_basis(basis)
+        gs = ideal._read_off_span(basis)
         doc = json.dumps(gs.to_json_dict(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
         try:

@@ -8,20 +8,21 @@ dimension is the sum of s - deg over the layers.
 Minimum distance is the Brouwer-Zimmermann information-set search
 (Zimmermann 1996; Grassl 2006), under a hard cap on q^k, desk scale only,
 on a systematic form of the code on one information set I.  For a
-GeneratorSet the engine read off a basis, that form is the basis itself,
-the ideal's unique reduced echelon basis, whose pivots, the leading
-cells, are I: ``code_params`` searches it in codeword order, with no
-generator matrix and no second elimination.  ``min_distance`` eliminates
-the matrix it is given, hand-built or not, in natural column order.
-Messages of weight w = 1, 2, ... are encoded, which lowers an upper bound
-on d, while every codeword not yet seen weighs more than w on I, which
-raises a lower bound; the search stops when the bounds meet.  A code of
-the ring is closed under the s*ell shifts x^a y^b, and one shift takes
-any cell to any other, so averaged over the shifts a codeword of weight
-t has k*t/n cells on I: some shift of it, of the same weight, is seen by
-level k*t/n.  So after level w the lower bound is ceil(n (w + 1) / k),
-not w + 1 (the automorphism refinement of Grassl 2006, by averaging).
-Shift closure is tested on the rows, not assumed, and only once the
+GeneratorSet read off a basis the engine spanned, that form is the
+ideal's reduced echelon basis, whose pivots, the leading cells, are I:
+``code_params`` searches it as it stands, in INTERNAL order (weights do
+not depend on column order), with no generator matrix and no second
+elimination.  ``min_distance`` eliminates the matrix it is given in
+natural column order.  Messages of weight w = 1, 2, ... are encoded,
+which lowers an upper bound on d, while every codeword not yet seen
+weighs more than w on I, which raises a lower bound; the search stops
+when the bounds meet.  A code of the ring is closed under the s*ell
+shifts x^a y^b, and one shift takes any cell to any other, so averaged
+over the shifts a codeword of weight t has k*t/n cells on I: some shift
+of it, of the same weight, is seen by level k*t/n.  So after level w the
+lower bound is ceil(n (w + 1) / k), not w + 1 (the automorphism
+refinement of Grassl 2006, by averaging).  An ideal's basis is closed by
+construction; the rows of a given matrix are tested, and only once the
 bound w + 1 falls short: rows that are not closed keep w + 1.
 
 Each weight level is grown from the one below, rebuilt from weight 1 at
@@ -174,8 +175,8 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     The rows are put in systematic form gamma on their pivots I, k of
     them for rank k, eliminated in natural column order, so a message's
     weight is its codeword's weight on I.  ``code_params`` of a set the
-    engine read off a basis skips this elimination: it searches the
-    reduced basis, whose pivots are the leading cells.
+    engine read off a basis it spanned skips this elimination and the
+    closure test: it searches that reduced basis as it stands.
     Level w encodes every message of weight w, up to a scalar, and the
     least weight seen, best, bounds d from above.  After level w every
     codeword not yet seen has weight at least w + 1, and at least
@@ -193,7 +194,7 @@ def min_distance(gm: GeneratorMatrix, cap: int = DEFAULT_CAP) -> int:
     the working set stays three arrays of _GATHER_ELEMS elements."""
     _check_cap(gm.shape.field, gm.k, cap)
     gamma, pivots = _rref(gm.rows.copy(), gm.shape.field, range(gm.n))  # gm.rows is read-only
-    return _search(gm.shape, gamma, pivots)
+    return _search(gm.shape.field, gamma, lambda: _shift_closed(gm.shape, gamma, pivots))
 
 
 def _check_cap(fld, k: int, cap) -> None:
@@ -203,14 +204,14 @@ def _check_cap(fld, k: int, cap) -> None:
         raise TooLargeError(f"q^k = {total} exceeds cap {cap}")
 
 
-def _search(shape: RingShape, gamma: np.ndarray, pivots) -> int:
-    """The search of min_distance on gamma, k x n in codeword order, whose
-    columns ``pivots`` hold the identity."""
-    fld, n = shape.field, shape.n
-    k = len(pivots)
+def _search(fld, gamma: np.ndarray, closed) -> int:
+    """The search of min_distance on gamma, k x n, systematic on k of its
+    columns, in any column order.  ``closed()`` says whether the rows are
+    closed under the shifts x^a y^b; it is asked at most once."""
+    k, n = gamma.shape
     if k == 0:
         raise ValueError("minimum distance is undefined for a dimension-0 code")
-    best, bound, closed = n + 1, 1, None
+    best, bound, averaging = n + 1, 1, None
     for w in range(1, k + 1):
         for words, last in _level(fld, gamma, w, _GATHER_ELEMS):
             best = min(best, int(np.count_nonzero(words, axis=1).min()))
@@ -219,9 +220,9 @@ def _search(shape: RingShape, gamma: np.ndarray, pivots) -> int:
         # the last chunk views its level's buffer: let it go before the next level allocates
         del words, last
         bound = w + 1
-        if closed is None and best > bound:
-            closed = _shift_closed(shape, gamma, pivots)
-        if closed:
+        if averaging is None and best > bound:
+            averaging = closed()
+        if averaging:
             bound = -(-n * bound // k)
         if best <= bound:
             return best
@@ -232,27 +233,24 @@ def code_params(gs: GeneratorSet, with_distance: bool = False,
                 cap: int = DEFAULT_CAP) -> CodeParams:
     """Aggregate (n, k, q) and optionally d for the code of a GeneratorSet.
 
-    A set the engine read off a basis (``gs.basis``) is searched on that
-    reduced echelon basis, its columns put in codeword order: its pivots,
-    the leading cells, are the information set, so no generator matrix is
-    built and nothing is eliminated again.  A set without one, built by
+    A set the engine read off a basis it spanned (``gs.basis``) is
+    searched on that reduced echelon basis as it stands: its pivots, the
+    leading cells, are the information set, and its span is an ideal, so
+    no generator matrix is built, nothing is eliminated again and no
+    closure is tested.  Any other set, read off a caller's basis, built by
     hand or by ``dataclasses.replace``, goes through
     min_distance(generator_matrix(gs)).  d is the same either way: the
     search is exact on any information set."""
     cap = _integer(cap, "cap")
-    shape, basis = gs.shape, gs.basis
+    shape = gs.shape
     k = dimension(gs)
     d = None
     if with_distance and k > 0:
-        if basis is None:
+        if gs.basis is None:
             d = min_distance(generator_matrix(gs), cap)
         else:
             _check_cap(shape.field, k, cap)
-            s, ell = shape.s, shape.ell
-            # codeword index i*ell + j of cell (i, j) reads INTERNAL index j*s + i
-            perm = np.arange(shape.n).reshape(ell, s).T.ravel()
-            pivots = [(p % s) * ell + p // s for p in basis.pivots]
-            d = _search(shape, basis.matrix[:, perm], pivots)
+            d = _search(shape.field, gs.basis.matrix, lambda: True)
     return CodeParams(shape.n, k, shape.field.q, d)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError, DivisibilityError, NotMember
-from .gf import field_descriptor
+from .gf import _integer, field_descriptor
 from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
 from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, _Value, shift_images, shift_sum
 
@@ -96,7 +96,8 @@ class EchelonBasis(_Value):
     ``pivots`` lists each row's pivot as an internal index, in the order
     the elimination found them: y-blocks ascending, x-degrees descending
     within a block.  Pivot entries are 1 and every other row is 0 in a
-    pivot's column; the span is closed under both shifts by construction.
+    pivot's column.  The span of a basis ``span_basis`` returns is an
+    ideal, closed under both shifts; a hand-built one need not be.
     Pivots that are not each row's first nonzero entry in that order raise
     ValueError.
     A frozen value (``_Value``): ``pivots`` is a tuple and ``matrix`` a
@@ -170,12 +171,14 @@ class GeneratorSet:
     is zero.
 
     ``basis`` is derived state: the reduced echelon basis the set was read
-    off, which ``generator_set_from_basis`` keeps so that the distance
-    search starts from it instead of eliminating again.  It keeps the
+    off, kept only where ``span_basis`` built it (``extract_generators``
+    and the ``enumerate`` survey), so that the distance search starts from
+    it with no second elimination and no closure test.  It keeps the
     k x n basis alive (7.9 MB at GF(2) 32 x 32).  It is not an argument and
     takes no part in equality, hashing, repr or ``to_json_dict``;
-    ``dataclasses.replace`` and a hand-built set carry None, so a set
-    whose data was changed never carries a basis that does not span it.
+    ``generator_set_from_basis`` of a caller's basis, ``dataclasses.replace``
+    and a hand-built set carry None, so equal sets give equal results and
+    a set never carries a basis that is not an ideal's or does not span it.
     """
 
     shape: RingShape
@@ -256,6 +259,7 @@ def layer_generator(basis: EchelonBasis, j: int) -> LayerInfo:
     """Monic generator of the coefficient ideal of layer j: layer j of the
     one read-off pass, which this builds whole by calling
     generator_set_from_basis."""
+    j = _integer(j, "layer index")
     if not 0 <= j < basis.shape.ell:
         raise IndexError(f"layer index {j} out of range [0, {basis.shape.ell})")
     return generator_set_from_basis(basis).layers[j]
@@ -267,7 +271,8 @@ def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
     The layer row of block j is the block's last row in elimination order,
     whose pivot is the block's lowest degree: its y^j coordinate is the
     layer generator, and it is already reduced against every higher layer.
-    Each layer row's coordinates are read once, as Poly."""
+    Each layer row's coordinates are read once, as Poly.  The set keeps no
+    basis (``GeneratorSet.basis``): a caller's basis need not be an ideal's."""
     shape = basis.shape
     fld, s, ell = shape.field, shape.s, shape.ell
     layer_row = {p // s: r for r, p in enumerate(basis.pivots)}  # each block's last row
@@ -294,14 +299,20 @@ def generator_set_from_basis(basis: EchelonBasis) -> GeneratorSet:
                     f"coordinate {i} of generator {j} is not divisible by the base generator")
             qs.append(q)
         quotients.append(tuple(qs))
-    gs = GeneratorSet(shape, tuple(layers), tuple(gens), tuple(quotients))
+    return GeneratorSet(shape, tuple(layers), tuple(gens), tuple(quotients))
+
+
+def _read_off_span(basis: EchelonBasis) -> GeneratorSet:
+    """generator_set_from_basis of a basis that span_basis returned, which
+    the set keeps: its span is an ideal, closed under the shifts."""
+    gs = generator_set_from_basis(basis)
     object.__setattr__(gs, "basis", basis)
     return gs
 
 
 def extract_generators(shape: RingShape, generators) -> GeneratorSet:
     """End to end: span the ideal, then extract its canonical GeneratorSet."""
-    return generator_set_from_basis(span_basis(shape, generators))
+    return _read_off_span(span_basis(shape, generators))
 
 
 def canonical_form(shape: RingShape, generators) -> GeneratorSet:

@@ -222,7 +222,11 @@ def xgcd(a: Poly, b: Poly):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def xs_minus_one(field: Field, s: int) -> Poly:
-    """The polynomial x^s - 1."""
+    """The polynomial x^s - 1, for an integer s >= 1 (anything else raises
+    ValueError)."""
+    from .gf import _integer  # gf imports this module, so not at the top
+
+    s = _integer(s, "exponent")
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
     return Poly._wrap(field, (field.neg(1),) + (0,) * (s - 1) + (1,))
@@ -230,6 +234,9 @@ def xs_minus_one(field: Field, s: int) -> Poly:
 
 def divides_xs_minus_one(f: Poly, s: int) -> bool:
     """True iff f divides x^s - 1 exactly."""
+    from .gf import _integer
+
+    s = _integer(s, "exponent")
     if not f:
         raise ValueError("zero polynomial divides nothing")
     return not (xs_minus_one(f.field, s) % f)
@@ -239,6 +246,9 @@ def divides_xs_minus_one(f: Poly, s: int) -> bool:
 def cofactor(f: Poly, s: int) -> Poly:
     """Exact quotient (x^s - 1) / f; raises ValueError if f is not a divisor
     (on every call: a raised error is not kept)."""
+    from .gf import _integer
+
+    s = _integer(s, "exponent")
     if not f:
         raise ValueError("zero polynomial divides nothing")
     q, r = divmod(xs_minus_one(f.field, s), f)

@@ -182,7 +182,11 @@ class BiPoly(_Value):
     # -- views ---------------------------------------------------------------
 
     def coord(self, j: int) -> CyclicPoly:
-        """Coefficient of y^j as a cyclic residue in x."""
+        """Coefficient of y^j as a cyclic residue in x, for an integer j in
+        [0, ell) (anything else raises ValueError, out of range IndexError)."""
+        j = _integer(j, "layer index")
+        if not 0 <= j < self.shape.ell:
+            raise IndexError(f"layer index {j} out of range [0, {self.shape.ell})")
         return CyclicPoly._wrap(self.shape.field, self.arr[:, j].tolist())
 
     def coords(self) -> tuple[CyclicPoly, ...]:

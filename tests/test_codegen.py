@@ -540,9 +540,10 @@ def test_min_distance_matches_oracle_on_random_ideals(data, budget):
 @given(st.data())
 def test_code_params_on_the_basis_matches_the_generator_matrix(data):
     """code_params searches an engine set on the reduced basis it was read
-    off, in codeword order, systematic on the pivots it is given, and a
-    copy by dataclasses.replace, which carries no basis, on its generator
-    matrix: d is the same both ways, and min_distance's."""
+    off, as it stands: in INTERNAL order, systematic on its pivots, known
+    to be shift-closed.  A copy by dataclasses.replace, which carries no
+    basis, goes through its generator matrix: d is the same both ways, and
+    min_distance's."""
     F = data.draw(st.sampled_from([F2, GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2)]))
     sh = RingShape(F, data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -559,22 +560,26 @@ def test_code_params_on_the_basis_matches_the_generator_matrix(data):
     searched = []
     search = codegen._search
 
-    def recording_search(shape, gamma, pivots):
-        searched.append((gamma, pivots))
-        return search(shape, gamma, pivots)
+    def recording_search(fld, gamma, closed):
+        searched.append((fld, gamma, closed()))
+        return search(fld, gamma, closed)
 
     with mock.patch.object(codegen, "_search", recording_search):
         d = code_params(gs, with_distance=True).d
-    (gamma, pivots), = searched
+    (fld, gamma, closed), = searched
+    assert fld is F and gamma is gs.basis.matrix and closed is True
     gm = generator_matrix(gs)
-    assert gamma[:, pivots].tolist() == np.eye(k, dtype=np.int64).tolist()
-    assert reduced_span(F, sh.n, gamma).tolist() == reduced_span(F, sh.n, gm.rows).tolist()
+    # codeword index i*ell + j of cell (i, j) is INTERNAL index j*s + i
+    internal = gm.rows.reshape(k, sh.s, sh.ell).transpose(0, 2, 1).reshape(k, sh.n)
+    assert gamma[:, list(gs.basis.pivots)].tolist() == np.eye(k, dtype=np.int64).tolist()
+    assert reduced_span(F, sh.n, gamma).tolist() == reduced_span(F, sh.n, internal).tolist()
     assert d == min_distance(gm) == code_params(copy, with_distance=True).d
 
 
 def test_code_params_on_an_engine_set_neither_builds_nor_eliminates(monkeypatch):
     """Golay23 x [3, 2] (k=24, d=14) is searched on its basis: no generator
-    matrix and no elimination.  The q^k > cap refusal comes first, with
+    matrix, no elimination and no closure test, though min_distance needs
+    the averaging bound here.  The q^k > cap refusal comes first, with
     min_distance's message."""
     sh, gens = _product_code(F2, 23, 3, GOLAY23, [1, 1])
     gs = extract_generators(sh, gens)
@@ -584,13 +589,35 @@ def test_code_params_on_an_engine_set_neither_builds_nor_eliminates(monkeypatch)
     def refuse(*args):
         raise AssertionError("called")
 
-    for module, name in ((ideal, "_rref"), (codegen, "_rref"), (codegen, "generator_matrix")):
+    for module, name in ((ideal, "_rref"), (codegen, "_rref"), (codegen, "generator_matrix"),
+                         (codegen, "_shift_closed")):
         monkeypatch.setattr(module, name, refuse)
     assert code_params(gs, with_distance=True, cap=1 << 24) == CodeParams(69, 24, 2, 14)
     monkeypatch.setattr(codegen, "_search", refuse)
     with pytest.raises(TooLargeError, match=r"^q\^k = 16777216 exceeds cap 16777215$") as new:
         code_params(gs, with_distance=True, cap=(1 << 24) - 1)
     assert str(new.value) == str(old.value)
+
+
+def test_a_set_read_off_a_callers_basis_is_searched_on_its_generator_matrix():
+    """This hand-built GF(2) 3x3 basis is reduced and echelon, but its span
+    is not closed under the shifts, so it spans no ideal.  The set read off
+    it keeps no basis, and code_params searches its generator matrix, whose
+    rows are closed: d = 2 on the set, on a copy that compares equal and in
+    min_distance.  Taken for an ideal's basis, it reads 1 under the
+    averaging bound."""
+    sh = RingShape(F2, 3, 3)
+    basis = ideal.EchelonBasis(sh, [[0, 0, 1, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0],
+                                    [1, 0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 1, 0, 1, 0],
+                                    [0, 0, 0, 1, 1, 0, 0, 0, 0]], (2, 1, 0, 5, 4))
+    assert not check_shift_closure(sh, np.array(
+        [BiPoly.from_vector(sh, r, ideal.INTERNAL).to_vector(CODEWORD) for r in basis.matrix]))
+    gs = ideal.generator_set_from_basis(basis)
+    assert gs.basis is None
+    copy = dataclasses.replace(gs)
+    assert copy == gs
+    assert code_params(gs, with_distance=True).d == code_params(copy, with_distance=True).d \
+        == min_distance(generator_matrix(gs)) == 2
 
 
 def test_code_params():

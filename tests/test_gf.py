@@ -4,9 +4,10 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_mul, gf_rem
 
 from tdcyclic import (CODEWORD, GF, BiPoly, BoundsError, CyclicPoly, EchelonBasis, Field,
-                      GeneratorMatrix, Poly, RingShape, code_params, default_modulus, encode,
-                      extract_generators, field_descriptor, field_from_descriptor,
-                      generator_matrix, min_distance, reduced_span)
+                      GeneratorMatrix, Poly, RingShape, code_params, cofactor, default_modulus,
+                      divides_xs_minus_one, encode, extract_generators, field_descriptor,
+                      field_from_descriptor, generator_matrix, layer_generator, min_distance,
+                      reduced_span, span_basis, xs_minus_one)
 from tdcyclic.gf import _is_prime
 
 
@@ -116,6 +117,9 @@ def test_library_values_must_be_integers(gate, value, read):
 # <1 + y> in the 1 x 2 binary ring: q^k = 2 and d = 2
 _REPETITION = extract_generators(RingShape(GF(2), 1, 2), [BiPoly(RingShape(GF(2), 1, 2), [[1, 1]])])
 
+# the unit ideal's basis in the 1 x 3 binary ring: one layer generator per j
+_UNIT_1x3 = span_basis(RingShape(GF(2), 1, 3), [BiPoly.one(RingShape(GF(2), 1, 3))])
+
 # the entry points that read field parameters, coordinates, ring sizes and
 # distance caps, each returning the value it read for v, which stands for 2
 _PARAMETER_GATES = {
@@ -137,6 +141,13 @@ _PARAMETER_GATES = {
     "BiPoly.shift_y": lambda v: int(np.flatnonzero(BiPoly.one(RingShape(GF(2), 3, 3))
                                                    .shift_y(v).arr[0])[0]),
     "CyclicPoly.shift": lambda v: CyclicPoly(GF(2), [1, 0, 0]).shift(v).coeffs.index(1),
+    "xs_minus_one s": lambda v: xs_minus_one(GF(3), v).degree,
+    "cofactor s": lambda v: cofactor(Poly.one(GF(3)), v).degree,
+    # 1 + True: x^2 - 1 divides x^v - 1
+    "divides_xs_minus_one s": lambda v: 1 + divides_xs_minus_one(Poly(GF(3), [2, 0, 1]), v),
+    "BiPoly.coord": lambda v: BiPoly(RingShape(GF(2), 3, 3), np.eye(3, dtype=np.int64))
+                                     .coord(v).coeffs.index(1),
+    "layer_generator": lambda v: layer_generator(_UNIT_1x3, v).index,
     "min_distance cap": lambda v: min_distance(generator_matrix(_REPETITION), cap=v),
     "code_params cap": lambda v: code_params(_REPETITION, with_distance=True, cap=v).d,
 }
@@ -149,7 +160,8 @@ _PARAMETER_GATES = {
 ])
 def test_library_parameters_must_be_integers(gate, value, ok):
     """Field parameters, modulus entries, coordinates, the ring's s and
-    ell and the distance search's cap follow make's rule: an integer, kept
+    ell, the exponent of x^s - 1, layer indices and the distance search's
+    cap follow make's rule: an integer, kept
     as a Python int, or else ValueError, instead of a float read as the
     integer it truncates to (GF(5.0) had q == 5.0, and
     GF(2, 2, modulus=[1.7, 1, 1]) was GF(4)) or compared as a float

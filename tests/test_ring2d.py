@@ -20,6 +20,16 @@ def shape22():
     return RingShape(GF(2), 2, 2)
 
 
+def test_coord_refuses_a_layer_index_out_of_range():
+    """coord(j) takes j in [0, ell), as layer_generator does: -1 no longer
+    wraps to the y^(ell-1) coordinate."""
+    e = BiPoly(shape22(), [[1, 0], [1, 1]])
+    assert [c.coeffs for c in e.coords()] == [(1, 1), (0, 1)]
+    for j in (-1, 2):
+        with pytest.raises(IndexError, match=rf"^layer index {j} out of range \[0, 2\)$"):
+            e.coord(j)
+
+
 def test_array_coords_bijection():
     sh = shape22()
     e = BiPoly(sh, [[1, 0], [1, 0]])

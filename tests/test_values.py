@@ -60,15 +60,16 @@ def test_generator_set_survives_copy_and_pickle(trip):
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
 def test_generator_set_keeps_the_basis_it_was_read_off(trip):
-    """An engine set keeps its basis, through copies and pickles too; a
-    hand-built set and a dataclasses.replace copy carry none.  The basis
-    is derived state: equality, hash, repr and to_json_dict ignore it."""
+    """An engine set keeps its basis, through copies and pickles too; a set
+    read off a caller's basis, a hand-built set and a dataclasses.replace
+    copy carry none.  The basis is derived state: equality, hash, repr and
+    to_json_dict ignore it."""
     gs = extract_generators(SHAPE, [G])
     assert gs.basis == span_basis(SHAPE, [G])
     out = ROUND_TRIPS[trip](gs)
     assert out == gs and out.basis == gs.basis
     for bare in (GeneratorSet(gs.shape, gs.layers, gs.gens, gs.quotients),
-                 dataclasses.replace(gs)):
+                 dataclasses.replace(gs), generator_set_from_basis(gs.basis)):
         assert bare.basis is None
         assert bare == gs and hash(bare) == hash(gs) and repr(bare) == repr(gs)
         assert bare.to_json_dict() == gs.to_json_dict()
