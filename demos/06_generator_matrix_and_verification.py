@@ -26,16 +26,17 @@ print("message", msg, "->", word.tolist())
 print("its weight:", int((word != 0).sum()), " (never below d =", params.d, ")")
 
 # The oracle re-derives the code once, as the fixed-point closure of [g],
-# and both reports check against that closure: it re-derives membership of
-# every generating polynomial and matrix row, and the triangular and
-# divisibility facts.  Span equality and the matrix rank it proves from the
-# rows' distinct leading cells, without a second closure or elimination.
+# and both reports, given the same generators, find that closure kept: it
+# re-derives membership of every generating polynomial and matrix row, and
+# the triangular and divisibility facts.  Span equality and the matrix rank
+# it proves from the rows' distinct leading cells, without a second closure
+# or elimination.
 closure = bruteforce_ideal(shape, [g])
 print("\nbrute-force dimension agrees:", closure.dimension == gm.k)
-rep = verify_generator_set(gs, closure)
+rep = verify_generator_set(gs, [g])
 for c in rep.checks:
     print(f"  {c.name}: {'ok' if c.passed else 'FAIL'}")
-rep2 = verify_matrix(gm, closure)
+rep2 = verify_matrix(gm, [g])
 print("matrix checks all pass:", rep2.passed)
 
 # the distance search is refused above a cap on q^k; desk-scale codes only

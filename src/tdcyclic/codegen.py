@@ -41,8 +41,8 @@ from math import comb
 import numpy as np
 
 from .errors import TooLargeError
-from .gf import _integer
 from .ideal import GeneratorSet, _rref
+from .polyring import _integer
 from .ring2d import _GATHER_ELEMS, RingShape, _Value, shift_images
 
 DEFAULT_CAP = 1 << 20

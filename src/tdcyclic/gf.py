@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError
-from .polyring import Poly
+from .polyring import Poly, _integer
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -96,16 +96,6 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     f = Poly._wrap(F, mod)
     return all(f % Poly._wrap(F, _digits(n, p, d) + [1])
                for d in range(1, (len(mod) - 1) // 2 + 1) for n in range(p**d))
-
-
-def _integer(v, what: str) -> int:
-    """v as a Python int.  v must be an integer, Python's or numpy's, and a
-    bool is the integer it is in Python (True is 1); anything else, a float
-    with or without a fraction or a string, raises ValueError rather than
-    being read as another number."""
-    if not isinstance(v, (int, np.integer, np.bool_)):
-        raise ValueError(f"{v!r} is not an integer {what}")
-    return int(v)
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError, DivisibilityError, NotMember
-from .gf import _integer, field_descriptor
-from .polyring import CyclicPoly, Poly, cofactor, xs_minus_one
+from .gf import field_descriptor
+from .polyring import CyclicPoly, Poly, _integer, cofactor, xs_minus_one
 from .ring2d import _GATHER_ELEMS, INTERNAL, BiPoly, RingShape, _Value, shift_images, shift_sum
 
 # rows * columns * rank bounding the work of span_basis's elimination of
@@ -98,10 +98,11 @@ class EchelonBasis(_Value):
     within a block.  Pivot entries are 1 and every other row is 0 in a
     pivot's column.  The span of a basis ``span_basis`` returns is an
     ideal, closed under both shifts; a hand-built one need not be.
-    Pivots that are not each row's first nonzero entry in that order raise
-    ValueError.
-    A frozen value (``_Value``): ``pivots`` is a tuple and ``matrix`` a
-    read-only (len(pivots), n) array, unique for the span.
+    Pivots that are not each row's first nonzero entry in that order, or
+    rows out of that order, raise ValueError: the layer read-off takes each
+    block's last row as its layer row.  A frozen value (``_Value``):
+    ``pivots`` is a tuple and ``matrix`` a read-only (len(pivots), n)
+    array, unique for the span when fully reduced, as span_basis makes it.
     """
 
     shape: RingShape
@@ -114,8 +115,11 @@ class EchelonBasis(_Value):
         # each row's pivot is its first nonzero entry in the engine's pivot order
         cols = _pivot_order(self.shape)
         nz = (self.matrix != 0)[:, cols]
-        if not nz.any(axis=1).all() or cols[nz.argmax(axis=1)].tolist() != list(self.pivots):
+        lead = nz.argmax(axis=1)
+        if not nz.any(axis=1).all() or cols[lead].tolist() != list(self.pivots):
             raise ValueError("pivots do not match the leading entries of the matrix")
+        if (np.diff(lead) <= 0).any():
+            raise ValueError("rows are not in the engine's pivot order")
 
     @property
     def rows(self) -> tuple[BiPoly, ...]:

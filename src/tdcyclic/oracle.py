@@ -20,9 +20,9 @@ Every element and raw vector reaches the elimination through one gate,
 ``_raw_vectors``: an element (``BiPoly``) must have the ring's shape and
 is read in codeword order, and a raw vector must have s*ell integer
 entries, taken mod q by ``Field.make_array`` as ``BiPoly`` takes them.
-A closure given in place of generators must have the ring's shape too.
-Anything else raises ``ValueError``; a 2-D array, whose rows share one
-dtype and width, is gated whole.
+The input is a sequence of these; anything else, a ``ClosureBasis`` too,
+raises ``ValueError`` (a caller holding one passes its ``vectors``).  A
+2-D array, whose rows share one dtype and width, is gated whole.
 
 Each input is closed once.  ``bruteforce_ideal`` gates its input on every
 call, then looks the gated rows up by value, keyed on the ring shape and
@@ -30,8 +30,7 @@ their bytes, among the 8 closures it used last; a closure of a
 verify_generator_set call is found again by the verify_matrix call on the
 same generators.  An entry holds at most 64 x 64 cells twice (its reduced
 rows and its reducer's) plus its input, and every array in it is read-only,
-since callers share it.  Passing the ``ClosureBasis`` instead of the
-generators still works and skips the lookup.
+since callers share it.
 
 A rank certificate shortcuts a passing check.  The leading cell of a
 nonzero vector is its first nonzero cell, y ascending, then x
@@ -154,16 +153,21 @@ def _distinct_leads(shape: RingShape, vecs: np.ndarray, shifts: int) -> int:
 
 
 def _raw_vectors(fld, n: int, vectors, shape: RingShape | None = None) -> np.ndarray:
-    """Stack elements and raw vectors as canonical length-n codeword rows:
-    an element must have the ring shape ``shape`` (with no shape, none is
-    accepted), a raw vector n entries, and entries go through
-    fld.make_array, which refuses a non-integer and reduces mod q.  The
-    rows of a 2-D array share one dtype and width, so it is gated whole."""
+    """Stack a sequence of elements and raw vectors as canonical length-n
+    codeword rows: an element must have the ring shape ``shape`` (with no
+    shape, none is accepted), a raw vector n entries, and entries go
+    through fld.make_array, which refuses a non-integer and reduces mod q.
+    The rows of a 2-D array share one dtype and width, so it is gated whole."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and len(vectors):
         out = fld.make_array(vectors)
         if out.shape[1] != n:
             raise ValueError(f"vector length {out.shape[1]} != n = {n}")
         return out
+    try:
+        vectors = list(vectors)
+    except TypeError:
+        raise ValueError("the oracle reads a sequence of elements or raw vectors, "
+                         f"not {type(vectors).__name__}") from None
     out = np.zeros((len(vectors), n), dtype=np.int64)
     for t, v in enumerate(vectors):
         if isinstance(v, BiPoly):
@@ -219,7 +223,7 @@ def bruteforce_ideal(shape: RingShape, generators) -> ClosureBasis:
     """
     if shape.n > MAX_ORACLE_LENGTH:
         raise BoundsError(f"oracle handles s*ell <= {MAX_ORACLE_LENGTH}, got {shape.n}")
-    return _closure(shape, _raw_vectors(shape.field, shape.n, list(generators), shape).tobytes())
+    return _closure(shape, _raw_vectors(shape.field, shape.n, generators, shape).tobytes())
 
 
 @functools.lru_cache(maxsize=8)
@@ -254,18 +258,16 @@ def reduced_span(fld, n: int, vectors) -> np.ndarray:
     computed by this module's own elimination routine.  There is no ring
     shape here, so an element raises ValueError."""
     red = _Reducer(fld, n)
-    red.extend(_raw_vectors(fld, n, list(vectors)))
+    red.extend(_raw_vectors(fld, n, vectors))
     return red.reduced_rows()
 
 
 def check_shift_closure(shape: RingShape, vectors) -> bool:
     """True iff the span of the given vectors is closed under both shifts:
-    elements of the ring's shape, raw vectors of s*ell entries (taken mod
-    q) or a closure of the same shape; anything else raises ValueError.
-    The span is NOT closed first; that is the point."""
-    if isinstance(vectors, ClosureBasis):
-        vectors = _ideal_of(shape, vectors).vectors
-    vs = _raw_vectors(shape.field, shape.n, list(vectors), shape)
+    a sequence of elements of the ring's shape and raw vectors of s*ell
+    entries (taken mod q); anything else raises ValueError.  The span is
+    NOT closed first; that is the point."""
+    vs = _raw_vectors(shape.field, shape.n, vectors, shape)
     red = _Reducer(shape.field, shape.n)
     red.extend(vs)
     return red.first_outside(_shifts(shape, vs)) is None
@@ -306,15 +308,6 @@ class Report:
         return None
 
 
-def _ideal_of(shape: RingShape, generators) -> ClosureBasis:
-    """The closure of the generators, or the given ClosureBasis itself."""
-    if not isinstance(generators, ClosureBasis):
-        return bruteforce_ideal(shape, generators)
-    if generators.shape != shape:
-        raise ValueError("closure does not match the ring shape")
-    return generators
-
-
 def _span_equal(a: ClosureBasis, b: ClosureBasis):
     """(equal?, offending vector) for two closure spans."""
     if a.dimension != b.dimension:
@@ -332,11 +325,12 @@ def verify_generator_set(gs, generators) -> Report:
     the two spans, the triangular layout, divisibility of every layer
     generator into x^s - 1, divisibility of every coordinate by the base
     layer generator (with the stored quotient table), and the canonical
-    degree bounds.  ``generators`` may be their ClosureBasis instead.
+    degree bounds.  ``generators`` is a sequence of elements and raw
+    vectors, closed by ``bruteforce_ideal``.
     """
     shape = gs.shape
     fld, s, ell = shape.field, shape.s, shape.ell
-    ideal = _ideal_of(shape, generators)
+    ideal = bruteforce_ideal(shape, generators)
     layers = gs.layers
     live = np.array([not layer.is_zero for layer in layers])
     checks = []
@@ -413,10 +407,10 @@ def verify_generator_set(gs, generators) -> Report:
 
 def verify_matrix(gm, generators) -> Report:
     """Rank, row-space equality with the brute-force span, and per-row
-    membership for a generator matrix.  ``generators`` may be their
-    ClosureBasis instead."""
+    membership for a generator matrix.  ``generators`` is a sequence of
+    elements and raw vectors, closed by ``bruteforce_ideal``."""
     shape = gm.shape
-    ideal = _ideal_of(shape, generators)
+    ideal = bruteforce_ideal(shape, generators)
 
     rows = _raw_vectors(shape.field, shape.n, gm.rows)
     i = ideal._reducer.first_outside(rows)

@@ -19,9 +19,9 @@ few layer generators again and again.  ``Field``, ``Poly`` and
 cache, and immutability is enforced: assigning or deleting a field raises
 ``AttributeError``.  Copying and pickling give back an equal value.
 
-The field is duck-typed, so this module depends on ``gf``, which builds
-its extension fields from ``Poly`` over GF(p), only where
-``CyclicPoly.shift`` reads its count through the integer gate of ``gf``.
+This is the bottom module: the field is duck-typed, and no other module of
+the package is imported.  ``_integer``, the one integer gate of the library,
+lives here, so every module above reads its parameters through it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .gf import Field
@@ -39,6 +41,16 @@ if TYPE_CHECKING:
 # The caches are typed, so an s of 4.0 still fails as it would uncached
 # instead of finding the result kept for 4.
 _CACHE_SIZE = 256
+
+
+def _integer(v, what: str) -> int:
+    """v as a Python int.  v must be an integer, Python's or numpy's, and a
+    bool is the integer it is in Python (True is 1); anything else, a float
+    with or without a fraction or a string, raises ValueError rather than
+    being read as another number."""
+    if not isinstance(v, (int, np.integer, np.bool_)):
+        raise ValueError(f"{v!r} is not an integer {what}")
+    return int(v)
 
 
 def _check_same_field(a, b):
@@ -224,8 +236,6 @@ def xgcd(a: Poly, b: Poly):
 def xs_minus_one(field: Field, s: int) -> Poly:
     """The polynomial x^s - 1, for an integer s >= 1 (anything else raises
     ValueError)."""
-    from .gf import _integer  # gf imports this module, so not at the top
-
     s = _integer(s, "exponent")
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
@@ -234,8 +244,6 @@ def xs_minus_one(field: Field, s: int) -> Poly:
 
 def divides_xs_minus_one(f: Poly, s: int) -> bool:
     """True iff f divides x^s - 1 exactly."""
-    from .gf import _integer
-
     s = _integer(s, "exponent")
     if not f:
         raise ValueError("zero polynomial divides nothing")
@@ -246,8 +254,6 @@ def divides_xs_minus_one(f: Poly, s: int) -> bool:
 def cofactor(f: Poly, s: int) -> Poly:
     """Exact quotient (x^s - 1) / f; raises ValueError if f is not a divisor
     (on every call: a raised error is not kept)."""
-    from .gf import _integer
-
     s = _integer(s, "exponent")
     if not f:
         raise ValueError("zero polynomial divides nothing")
@@ -348,8 +354,6 @@ class CyclicPoly:
     def shift(self, t: int = 1) -> "CyclicPoly":
         """Multiply by x^t: coefficient index i moves to (i + t) mod s, for
         an integer t (anything else raises ValueError, as for BiPoly.shift_x)."""
-        from .gf import _integer  # gf imports this module, so not at the top
-
         s = self.s
         t = _integer(t, "shift") % s
         return CyclicPoly._wrap(self.field, self.coeffs[s - t:] + self.coeffs[:s - t])

@@ -35,8 +35,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BoundsError
-from .gf import Field, _integer
-from .polyring import CyclicPoly
+from .gf import Field
+from .polyring import CyclicPoly, _integer
 
 INTERNAL = "internal"
 CODEWORD = "codeword"

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tdcyclic import (GF, BiPoly, RingShape, TooLargeError, dimension, extract_generators,
-                      generator_matrix, ideal, min_distance)
+                      generator_matrix, ideal, min_distance, oracle)
 from tdcyclic.cli import entry, main
 
 DATA = Path(__file__).parent / "data"
@@ -142,6 +142,34 @@ def test_verify_hamming7_product_matches_golden(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--input", write_problem(tmp_path, doc)])
     assert code == 0
     assert out == (DATA / "hamming7_product_verify.json").read_text()
+
+
+# GF(9), 6 x 6, <(x - 1)^2 (y - 1), a (x^3 - 1)> with a encoded as 3: 3 divides both
+# s and ell, so every layer has repeated roots; layer degrees [2, 2, 2, 2, 2, 3], k = 23
+GF9_REPEATED_ROOTS = {"field": {"p": 3, "m": 2}, "s": 6, "ell": 6, "generators": [
+    [[2, 1, 0, 0, 0, 0]] * 3 + [[0] * 6] * 3,
+    [[6, 0, 0, 0, 0, 0], [0] * 6, [0] * 6, [3, 0, 0, 0, 0, 0], [0] * 6, [0] * 6]]}
+
+
+@pytest.mark.parametrize("corrupt,code,golden", [
+    (False, 0, "gf9_6x6_repeated_root_verify.json"),
+    (True, 5, "gf9_6x6_repeated_root_verify_corrupt.json"),
+], ids=["verify", "verify --corrupt"])
+def test_verify_gf9_repeated_roots_matches_golden(tmp_path, capsys, corrupt, code, golden):
+    # the files the installed-script CI step diffs as well; --corrupt fails
+    # span-equality by the second closure, then triangular, base-divisibility,
+    # rank and row-space-equality
+    argv = ["verify", "--input", write_problem(tmp_path, GF9_REPEATED_ROOTS)]
+    assert run(capsys, argv + ["--corrupt"] * corrupt) == (code, (DATA / golden).read_text(), "")
+
+
+def test_verify_closes_the_generators_once(tmp_path, capsys):
+    """verify closes the problem's generators before any engine work, and
+    both checks find that closure kept: one miss and two hits."""
+    oracle._closure.cache_clear()
+    code, _, _ = run(capsys, ["verify", "--input", write_problem(tmp_path, GF9_REPEATED_ROOTS)])
+    info = oracle._closure.cache_info()
+    assert code == 0 and (info.misses, info.hits) == (1, 2)
 
 
 def test_verify_corrupt_matches_golden(tmp_path, capsys):

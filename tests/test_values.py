@@ -163,6 +163,18 @@ def test_basis_refuses_pivots_its_matrix_contradicts():
             EchelonBasis(shape, matrix, pivots)
 
 
+def test_basis_refuses_rows_out_of_the_engines_order():
+    """The rows must come in the engine's pivot order: <1 + x> at s = 4,
+    ell = 1 with its rows permuted, each pivot still its row's leading
+    entry, would read off the layer generator 1 + x^2 and k = 2."""
+    shape = RingShape(GF(2), 4, 1)
+    basis = span_basis(shape, [BiPoly(shape, [[1], [1], [0], [0]])])
+    assert basis.pivots == (3, 2, 1)
+    assert generator_set_from_basis(basis).layers[0].gen.coeffs == (1, 1, 0, 0)
+    with pytest.raises(ValueError, match="^rows are not in the engine's pivot order$"):
+        EchelonBasis(shape, basis.matrix[[2, 0, 1]], (1, 3, 2))
+
+
 def test_a_failing_report_hashes():
     """A Report hashes by value, a failing one too: its counterexamples are
     tuples, printed as JSON lists."""
